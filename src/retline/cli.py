@@ -32,8 +32,9 @@ from .training import (
     OptimizerSettings,
     TrainSettings,
     TrainingDiverged,
-    corpus_rates,
+    corpus_rates,  # noqa: F401  perfbench/tracing.py wraps cli.corpus_rates
     train,
+    transcript_rates,
 )
 from .verification import format_report, run_all
 
@@ -247,18 +248,18 @@ def _cmd_decode(args, config) -> int:
     backend = args.backend if args.backend is not None else config["backend"]
     if backend == "auto":
         backend = "recurrent" if model.config.mixer == "retention" else "kv"
-    results, lines = [], []
+    results, lines, pairs = [], [], []
     for sample in ds.samples:
         text, result = decode_transcript(model, ds.vocab, sample.image,
                                          beam=beam, backend=backend)
         results.append(result)
         lines.append(f"{sample.sample_id}\t{text}")
+        pairs.append((text, sample.transcript))
     out_txt = os.path.join(args.out_dir, "transcripts.txt")
     with open(out_txt, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     write_stats_csv(os.path.join(args.out_dir, "decode_stats.csv"), results)
-    cer_val, wer_val = corpus_rates(model, ds.samples, ds.vocab,
-                                    backend=backend)
+    cer_val, wer_val = transcript_rates(pairs)
     print(f"decoded {len(ds.samples)} lines (beam {beam}, {backend}); "
           f"cer {cer_val:.4f} wer {wer_val:.4f}; wrote {out_txt}")
     return 0

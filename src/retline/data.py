@@ -299,7 +299,8 @@ def load_manifest(path) -> Dataset:
     Image paths resolve relative to the manifest. The vocabulary comes from a
     dataset.json sidecar when present, else from the transcripts; transcripts
     must stay inside it either way. Malformed lines, duplicate ids, missing
-    files, and out-of-vocabulary characters are rejected with line numbers.
+    files, and out-of-vocabulary characters are rejected with line numbers,
+    and a manifest without lines is rejected too.
     """
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -332,6 +333,8 @@ def load_manifest(path) -> Dataset:
                         f"{path}:{lineno}: character {c!r} is outside the vocabulary"
                     )
         entries.append((sample_id, img_path, transcript))
+    if not entries:
+        raise ValueError(f"{path}: manifest lists no lines")
 
     if vocab is None:
         vocab = Vocab.from_texts([t for _, _, t in entries])

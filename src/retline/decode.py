@@ -5,9 +5,10 @@ for every live hypothesis, so its per-step cost and live element count never
 change as the transcript grows. The kv backend carries the growing per-layer
 text key/value history instead, gathering (reindexing) it whenever beam
 pruning reorders hypotheses and reallocating on every append; its per-step
-cost and footprint grow with decoded length. Both compute exactly the same
-next-token distributions for a retention model, which is what the
-cross-backend equivalence checks exploit. The attention twin only supports
+cost and footprint grow with decoded length. Either way the live lanes are
+stacked on a leading axis and advance together, one batched call per step.
+Both compute exactly the same next-token distributions for a retention
+model, which is what the cross-backend equivalence checks exploit. The attention twin only supports
 the kv backend (softmax over text history has no recurrent form).
 
 Stats rows record, per step: scalar multiply/add counts from the tensor
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EOS_ID, PAD_ID, SOS_ID
-from .fusion import ImageKVCache
 from .model import Model
 from .tensor import OpCounter, Tensor, count_ops
 
@@ -42,63 +42,61 @@ class Hypothesis:
 
 @dataclass
 class RecurrentDecodeState:
-    """Per-lane, per-(layer, head) retention states over a shared image cache.
-    Lane size is layers * heads * d_head^2 elements, independent of length."""
+    """Retention states of every live lane: one (lanes, H, d_head, d_head)
+    array per layer. A lane holds layers * heads * d_head^2 elements,
+    independent of decoded length."""
 
-    lanes: list  # lanes[lane][layer][head] -> RetentionState
-    cache: ImageKVCache
+    states: list
+
+    @classmethod
+    def fresh(cls, config) -> "RecurrentDecodeState":
+        shape = (1, config.heads, config.d_head, config.d_head)
+        return cls(states=[np.zeros(shape) for _ in range(config.layers)])
 
     def live_elements(self) -> int:
-        return sum(
-            state.elements
-            for lane in self.lanes for layer in lane for state in layer
-        )
+        return sum(s.size for s in self.states)
 
     def reindex(self, parents) -> "RecurrentDecodeState":
-        # states are updated functionally, so sharing across children is safe
-        lanes = [[list(layer) for layer in self.lanes[p]] for p in parents]
-        return RecurrentDecodeState(lanes=lanes, cache=self.cache)
+        parents = np.asarray(parents, dtype=np.intp)
+        return RecurrentDecodeState(states=[s[parents] for s in self.states])
 
 
 @dataclass
 class KVDecodeState:
-    """Per-lane, per-layer text key/value history over a shared image cache.
-    After t steps each lane holds 2 * t * d_model elements per layer. Under
-    data-dependent decay the cache also carries each position's cumulative
-    log-gate row (one scalar per head, not counted against the key/value
-    element formula)."""
+    """Text key/value history of every live lane: per layer, (lanes, H, t,
+    d_head) keys and values after t steps (None before the first), so a lane
+    holds 2 * t * d_model elements per layer. Under data-dependent decay each
+    layer also carries the (lanes, H, t) cumulative log-gates (not counted
+    against the key/value element formula); otherwise those stay None."""
 
-    keys: list    # keys[lane][layer] -> (t, d) array or None before any step
+    keys: list
     values: list
-    cache: ImageKVCache
-    gate_logs: list | None = None  # gate_logs[lane][layer] -> (t, H) or None
+    gate_logs: list
+
+    @classmethod
+    def fresh(cls, config) -> "KVDecodeState":
+        return cls(keys=[None] * config.layers, values=[None] * config.layers,
+                   gate_logs=[None] * config.layers)
 
     def live_elements(self) -> int:
-        total = 0
-        for lane_keys, lane_values in zip(self.keys, self.values):
-            for k, v in zip(lane_keys, lane_values):
-                if k is not None:
-                    total += k.size + v.size
-        return total
+        return sum(k.size + v.size for k, v in zip(self.keys, self.values)
+                   if k is not None)
 
 
 def kv_reindex(state: KVDecodeState, parent_indices) -> KVDecodeState:
-    """Gather every layer's cache rows by parent index into freshly allocated
+    """Gather every layer's history by parent index into freshly allocated
     arrays (beam pruning cannot reuse the old storage in place)."""
-    lanes = len(state.keys)
-    for p in parent_indices:
+    parents = np.asarray(parent_indices, dtype=np.intp)
+    lanes = state.keys[0].shape[0]
+    for p in parents:
         if not 0 <= p < lanes:
             raise ValueError(f"parent index {p} out of range for {lanes} lanes")
-    keys = [[None if k is None else k.copy() for k in state.keys[p]]
-            for p in parent_indices]
-    values = [[None if v is None else v.copy() for v in state.values[p]]
-              for p in parent_indices]
-    gate_logs = None
-    if state.gate_logs is not None:
-        gate_logs = [[None if g is None else g.copy()
-                      for g in state.gate_logs[p]] for p in parent_indices]
-    return KVDecodeState(keys=keys, values=values, cache=state.cache,
-                         gate_logs=gate_logs)
+
+    def gather(arrays):
+        return [None if a is None else a[parents] for a in arrays]
+
+    return KVDecodeState(keys=gather(state.keys), values=gather(state.values),
+                         gate_logs=gather(state.gate_logs))
 
 
 @dataclass(frozen=True)
@@ -109,41 +107,30 @@ class DecodeResult:
     stats: tuple          # one dict per step, STATS_COLUMNS keys
 
 
-def _lane_logits_recurrent(model, state, lane, token_id, position):
-    x = model.embed_text_step(token_id, position)
-    lanes = state.lanes[lane]
+def _lane_logits_recurrent(model, state, cache, tokens, position):
+    """(lanes, vocab) next-token logits for every live lane; advances the
+    lanes' states in place."""
+    x = model.embed_text_step(tokens, position)
     for li, layer in enumerate(model.layers):
-        x, lanes[li] = layer.step_recurrent(x, lanes[li], state.cache.layer(li))
+        x, state.states[li] = layer.step_recurrent(x, state.states[li],
+                                                   cache.layer(li))
     return model.head_logits(x)
 
 
-def _lane_logits_kv(model, state, lane, token_id, position):
-    x = model.embed_text_step(token_id, position)
+def _lane_logits_kv(model, state, cache, tokens, position):
+    """(lanes, vocab) next-token logits for every live lane; appends this
+    position to the lanes' histories in place."""
+    x = model.embed_text_step(tokens, position)
     for li, layer in enumerate(model.layers):
-        gate_logs = (None if state.gate_logs is None
-                     else state.gate_logs[lane][li])
-        x, k_new, v_new, logs_new = layer.step_kv(
-            x, state.keys[lane][li], state.values[lane][li],
-            state.cache.layer(li), gate_logs,
-        )
-        old_k, old_v = state.keys[lane][li], state.values[lane][li]
-        state.keys[lane][li] = (
-            k_new if old_k is None else np.vstack([old_k, k_new])
-        )
-        state.values[lane][li] = (
-            v_new if old_v is None else np.vstack([old_v, v_new])
-        )
-        if logs_new is not None:
-            state.gate_logs[lane][li] = (
-                logs_new[None, :] if gate_logs is None
-                else np.vstack([gate_logs, logs_new])
-            )
+        x, state.keys[li], state.values[li], state.gate_logs[li] = (
+            layer.step_kv(x, state.keys[li], state.values[li],
+                          cache.layer(li), state.gate_logs[li]))
     return model.head_logits(x)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    return z - np.log(np.exp(z).sum())
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 def beam_search(model: Model, image: Tensor, beam: int,
@@ -155,7 +142,8 @@ def beam_search(model: Model, image: Tensor, beam: int,
     tie-breaking (higher score, then parent order, then smaller token id).
     Finished hypotheses are held aside and their freed slots refill from the
     candidate pool; search stops at max_len or once no live hypothesis can
-    still beat the best finished one.
+    still beat the best finished one. Each step advances every live lane in
+    one batched call.
     """
     if beam < 1:
         raise ValueError("beam size must be at least 1")
@@ -168,41 +156,37 @@ def beam_search(model: Model, image: Tensor, beam: int,
     cache = model.build_image_cache(image)
 
     if backend == "recurrent":
-        state = RecurrentDecodeState(lanes=[model.fresh_states()], cache=cache)
+        state = RecurrentDecodeState.fresh(model.config)
     else:
-        layers = model.config.layers
-        gated = (model.config.mixer == "retention"
-                 and model.config.gamma_strategy == "gated")
-        state = KVDecodeState(keys=[[None] * layers], values=[[None] * layers],
-                              cache=cache,
-                              gate_logs=[[None] * layers] if gated else None)
+        state = KVDecodeState.fresh(model.config)
     live = [Hypothesis(tokens=(), score=0.0)]
     finished: list[Hypothesis] = []
     stats = []
 
     # every token id except the specials PAD and SOS may be emitted
-    candidate_ids = [i for i in range(model.config.vocab_size)
-                     if i not in (PAD_ID, SOS_ID)]
+    candidate_ids = np.array([i for i in range(model.config.vocab_size)
+                              if i not in (PAD_ID, SOS_ID)])
 
     for step in range(1, max_len + 1):
         counter = OpCounter()
-        scored = []
+        tokens = [hyp.tokens[-1] if hyp.tokens else SOS_ID for hyp in live]
         with count_ops(counter):
-            for lane, hyp in enumerate(live):
-                token = hyp.tokens[-1] if hyp.tokens else SOS_ID
-                if backend == "recurrent":
-                    logits = _lane_logits_recurrent(model, state, lane, token,
-                                                    step - 1)
-                else:
-                    logits = _lane_logits_kv(model, state, lane, token, step - 1)
-                logp = _log_softmax(logits)
-                for tok in candidate_ids:
-                    scored.append((hyp.score + logp[tok], lane, tok))
+            if backend == "recurrent":
+                logits = _lane_logits_recurrent(model, state, cache, tokens,
+                                                step - 1)
+            else:
+                logits = _lane_logits_kv(model, state, cache, tokens, step - 1)
+        scores = (np.array([hyp.score for hyp in live])[:, None]
+                  + _log_softmax(logits)[:, candidate_ids])
         # higher score first; ties toward earlier parent, then smaller id
-        scored.sort(key=lambda c: (-c[0], c[1], c[2]))
+        # (the flattened order is parent-major, and the sort is stable)
+        order = np.argsort(-scores, axis=None, kind="stable")
+        lanes, cols = np.divmod(order, candidate_ids.size)
 
         new_live, parents = [], []
-        for score, lane, tok in scored:
+        for score, lane, tok in zip(scores.ravel()[order].tolist(),
+                                    lanes.tolist(),
+                                    candidate_ids[cols].tolist()):
             if tok == EOS_ID:
                 finished.append(Hypothesis(tokens=live[lane].tokens, score=score,
                                            finished=True))

@@ -25,6 +25,7 @@ from .retention import (
 )
 from .tensor import (
     Tensor,
+    bmatmul,
     concat_cols,
     concat_rows,
     cumsum0,
@@ -292,6 +293,41 @@ def armf_cache_image(x_img: Tensor, layers) -> ImageKVCache:
     return ImageKVCache(keys=tuple(keys), values=tuple(values))
 
 
+def bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Counted batched product of plain (n, m, k) and (n, k, p) arrays, for
+    decode steps, which record no tape."""
+    return bmatmul(Tensor._wrap(a, False), Tensor._wrap(b, False)).data
+
+
+def image_term(q: np.ndarray, k_img: np.ndarray, v_img: np.ndarray,
+               heads: int) -> np.ndarray:
+    """Per-head softmax of every lane's query row over the cached image keys,
+    times the image values: (lanes, d) queries in, (lanes, d) head outputs
+    out."""
+    lanes, d = q.shape
+    n, dh = k_img.shape[0], d // heads
+    dots = bmm(q.reshape(lanes, heads, dh).transpose(1, 0, 2),
+               k_img.reshape(n, heads, dh).transpose(1, 2, 0))
+    weights = softmax_rows(Tensor._wrap(dots.reshape(-1, n) * (1.0 / np.sqrt(dh)),
+                                        False)).data
+    out = bmm(weights.reshape(heads, lanes, n),
+              v_img.reshape(n, heads, dh).transpose(1, 0, 2))
+    return out.transpose(1, 0, 2).reshape(lanes, d)
+
+
+def _fused_step(s, k_img, v_img, q, k, v, gammas):
+    """Recurrent fusion for every lane and head at once. `s` holds the
+    (lanes, H, d_head, d_head) states before the step, q/k/v the (lanes, d)
+    projected rows, `gammas` one decay per head, shared (H,) or per lane
+    (lanes, H). Returns the (lanes, d) head outputs and the new states."""
+    lanes, heads, dh, _ = s.shape
+    kv = bmm(k.reshape(-1, dh, 1), v.reshape(-1, 1, dh)).reshape(s.shape)
+    s_new = np.reshape(gammas, (-1, heads, 1, 1)) * s + kv
+    o_text = bmm((q * (1.0 / np.sqrt(dh))).reshape(-1, 1, dh),
+                 s_new.reshape(-1, dh, dh))
+    return o_text.reshape(lanes, -1) + image_term(q, k_img, v_img, heads), s_new
+
+
 def armf_recurrent_step(
     state: RetentionState,
     k_img: np.ndarray,
@@ -309,49 +345,31 @@ def armf_recurrent_step(
     q = matmul(x_n, proj.wq)
     k = matmul(x_n, proj.wk)
     v = matmul(x_n, proj.wv)
-    out, state = _fused_step(state, k_img, v_img, q, k, v, gamma)
-    return out, state
-
-
-def _fused_step(state, k_img, v_img, q, k, v, gamma):
-    d_head = q.shape[1]
-    inv = 1.0 / np.sqrt(d_head)
-    kv = matmul(transpose(k), v)
-    s_new = gamma * state.s + kv.data
-    o_text = matmul(scale(q, inv), Tensor._wrap(s_new, False))
-    img_dots = scale(matmul(q, Tensor._wrap(k_img.T.copy(), False)), inv)
-    o_img = matmul(softmax_rows(img_dots), Tensor._wrap(v_img, False))
-    return o_text + o_img, RetentionState(s=s_new, step=state.step + 1)
+    out, s = _fused_step(state.s[None, None], k_img, v_img, q.data, k.data,
+                         v.data, gamma)
+    return Tensor._wrap(out, False), RetentionState(s=s[0, 0],
+                                                    step=state.step + 1)
 
 
 def marmf_recurrent_step(
-    states: list,
+    state: np.ndarray,
     cache_layer: tuple,
-    x_n: Tensor,
+    x: Tensor,
     proj: ARMFProjections,
     cfg: ARMFHeadConfig,
     gammas,
-) -> tuple[Tensor, list]:
-    """Multi-head recurrent fusion step; `gammas` holds one decay per head
-    (data-dependent gates already evaluated for this position, if any)."""
-    k_img, v_img = cache_layer
-    q = matmul(x_n, proj.wq)
-    k = matmul(x_n, proj.wk)
-    v = matmul(x_n, proj.wv)
-    dh = cfg.d_head
-    outs, new_states = [], []
-    for h in range(cfg.heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        o, s = _fused_step(
-            states[h],
-            k_img[:, sl],
-            v_img[:, sl],
-            slice_cols(q, sl.start, sl.stop),
-            slice_cols(k, sl.start, sl.stop),
-            slice_cols(v, sl.start, sl.stop),
-            float(gammas[h]),
-        )
-        outs.append(o)
-        new_states.append(s)
-    merged = outs[0] if len(outs) == 1 else concat_cols(outs)
-    return matmul(merged, proj.wo), new_states
+) -> tuple[Tensor, np.ndarray]:
+    """Multi-head recurrent fusion step for a batch of decode lanes: `x`
+    holds one (lanes, d) input row per lane and `state` their
+    (lanes, H, d_head, d_head) retention states. `gammas` holds one decay per
+    head, (H,), or per lane and head, (lanes, H), for data-dependent gates
+    already evaluated at this position. Returns the (lanes, d) output and the
+    new states."""
+    if state.shape[1:] != (cfg.heads, cfg.d_head, cfg.d_head):
+        raise ValueError(f"state shape {state.shape} does not match the heads")
+    q = matmul(x, proj.wq)
+    k = matmul(x, proj.wk)
+    v = matmul(x, proj.wv)
+    merged, state = _fused_step(state, *cache_layer, q.data, k.data, v.data,
+                                gammas)
+    return matmul(Tensor._wrap(merged, False), proj.wo), state

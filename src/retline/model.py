@@ -24,10 +24,12 @@ from .fusion import (
     IMAGE_PRIORS,
     ImageKVCache,
     armf_cache_image,
+    bmm,
+    image_term,
     marmf_forward,
     marmf_recurrent_step,
 )
-from .retention import GAMMA_STRATEGIES, GammaSchedule, RetentionState
+from .retention import GAMMA_STRATEGIES, GammaSchedule
 from .tensor import (
     Tensor,
     add,
@@ -153,7 +155,10 @@ class DecoderLayer:
     as sublayer -> residual add -> layer norm."""
 
     def __init__(self, model: "Model", index: int):
-        self.model = model
+        # no back-reference to the model: a model <-> layer cycle would keep
+        # every discarded model alive until a full garbage collection
+        self.config = model.config
+        self.schedule = model.schedule
         self.index = index
         cfg = model.config
         p = model.params
@@ -174,19 +179,19 @@ class DecoderLayer:
     def forward(self, seq: FusionSequence, train: TrainContext | None) -> Tensor:
         mixed = self._mix(seq)
         if train is not None:
-            mixed = dropout(mixed, self.model.config.dropout_mix, train.rng)
+            mixed = dropout(mixed, self.config.dropout_mix, train.rng)
         return self._post(seq.x, mixed, train)
 
     def _mix(self, seq: FusionSequence) -> Tensor:
-        if self.model.config.mixer == "retention":
+        if self.config.mixer == "retention":
             return marmf_forward(
-                seq, self.index, self.model.schedule, self.projections,
+                seq, self.index, self.schedule, self.projections,
                 self.head_cfg, gate_weights=self.gate_weights,
             )
         return self._attention_mix(seq)
 
     def _attention_mix(self, seq: FusionSequence) -> Tensor:
-        cfg = self.model.config
+        cfg = self.config
         x, n_image = seq.x, seq.n_image
         n = x.shape[0]
         allow = np.zeros((n, n), dtype=bool)
@@ -209,7 +214,7 @@ class DecoderLayer:
         return matmul(merged, self.projections.wo)
 
     def _post(self, x: Tensor, mixed: Tensor, train: TrainContext | None) -> Tensor:
-        cfg = self.model.config
+        cfg = self.config
         y = layer_norm(add(x, mixed), self.ln["ln1_gain"], self.ln["ln1_bias"])
         hidden = gelu(add(matmul(y, self.pff["pff_w1"]), self.pff["pff_b1"]))
         if train is not None:
@@ -223,86 +228,76 @@ class DecoderLayer:
         seq = FusionSequence(x_img, n_image=x_img.shape[0], n_text=0)
         return self.forward(seq, train=None)
 
-    # --- recurrent decode path (retention mixer only)
+    # --- decode paths: one (lanes, d) row per live beam lane
 
-    def layer_gammas(self, x_row: Tensor) -> np.ndarray:
-        """Per-head decay factors for one decode step."""
-        cfg = self.model.config
+    def layer_gammas(self, x: Tensor) -> np.ndarray:
+        """Per-head decay factors for one decode step: the schedule row (H,),
+        or under the gated strategy one row per lane (lanes, H)."""
+        cfg = self.config
         if cfg.gamma_strategy == "gated":
-            z = x_row.data @ self.gate_weights.data
-            return ((1.0 / (1.0 + np.exp(-z))) ** (1.0 / cfg.tau))[0]
-        return self.model.schedule.layer_values(self.index)
+            z = x.data @ self.gate_weights.data
+            return (1.0 / (1.0 + np.exp(-z))) ** (1.0 / cfg.tau)
+        return self.schedule.layer_values(self.index)
 
-    def step_recurrent(self, x_row: Tensor, states: list, cache_entry: tuple):
-        mixed, new_states = marmf_recurrent_step(
-            states, cache_entry, x_row, self.projections, self.head_cfg,
-            self.layer_gammas(x_row),
+    def step_recurrent(self, x: Tensor, state: np.ndarray, cache_entry: tuple):
+        """Recurrent step (retention mixer only) over the lanes'
+        (lanes, H, d_head, d_head) states; returns the output and new states."""
+        mixed, state = marmf_recurrent_step(
+            state, cache_entry, x, self.projections, self.head_cfg,
+            self.layer_gammas(x),
         )
-        return self._post(x_row, mixed, None), new_states
+        return self._post(x, mixed, None), state
 
-    # --- cached decode path (either mixer; cache grows with decoded length)
-
-    def step_kv(self, x_row: Tensor, text_keys, text_values, cache_entry: tuple,
+    def step_kv(self, x: Tensor, keys, values, cache_entry: tuple,
                 gate_logs=None):
-        """One decode step against the cached text history. Returns the block
-        output plus this step's key/value rows (and, under the gated
-        strategy, the position's cumulative log-gate row) for the caller to
-        append to its cache."""
-        cfg = self.model.config
+        """One step (either mixer) against the lanes' cached text history:
+        (lanes, H, t, d_head) keys and values, None before the first step,
+        and under the gated strategy the (lanes, H, t) cumulative log-gates.
+        Returns the block output and the histories grown by this position,
+        each in a freshly allocated array."""
+        cfg = self.config
+        lanes, heads, dh = x.shape[0], cfg.heads, cfg.d_head
         k_img, v_img = cache_entry
-        q = matmul(x_row, self.projections.wq)
-        k_new = matmul(x_row, self.projections.wk)
-        v_new = matmul(x_row, self.projections.wv)
-        t_prev = 0 if text_keys is None else text_keys.shape[0]
-        keys = k_new.data if text_keys is None else np.vstack([text_keys, k_new.data])
-        values = (
-            v_new.data if text_values is None else np.vstack([text_values, v_new.data])
-        )
-        dh = cfg.d_head
+        q = matmul(x, self.projections.wq).data
+        k_new = matmul(x, self.projections.wk).data.reshape(lanes, heads, 1, dh)
+        v_new = matmul(x, self.projections.wv).data.reshape(lanes, heads, 1, dh)
+        if keys is not None:
+            k_new = np.concatenate([keys, k_new], axis=2)
+            v_new = np.concatenate([values, v_new], axis=2)
+        keys, values = k_new, v_new
+        t = keys.shape[2]
+        q_rows = q.reshape(-1, 1, dh)
         inv = 1.0 / np.sqrt(dh)
-        heads = []
-        logs_new = None
         if cfg.mixer == "retention":
-            gammas = self.layer_gammas(x_row)
+            gammas = self.layer_gammas(x)
             if cfg.gamma_strategy == "gated":
                 # product-form decay: weight(m) = exp(L_t - L_m) over the
-                # cached cumulative log-gate sums L
-                step_logs = np.log(gammas)
-                logs_new = (step_logs if gate_logs is None
-                            else gate_logs[-1] + step_logs)
-                all_logs = (logs_new[None, :] if gate_logs is None
-                            else np.vstack([gate_logs, logs_new]))
-                decay_rows = np.exp(all_logs[-1][None, :] - all_logs).T  # (H, t+1)
+                # cumulative log-gate sums L
+                step_logs = np.log(gammas)[:, :, None]
+                gate_logs = (step_logs if gate_logs is None else np.concatenate(
+                    [gate_logs, gate_logs[:, :, -1:] + step_logs], axis=2))
+                decay = np.exp(gate_logs[:, :, -1:] - gate_logs)
             else:
-                offsets = np.arange(t_prev, -1, -1, dtype=np.float64)
-                decay_rows = gammas[:, None] ** offsets[None, :]
-            for h in range(cfg.heads):
-                sl = slice(h * dh, (h + 1) * dh)
-                qh = slice_cols(q, sl.start, sl.stop)
-                text_dots = scale(
-                    matmul(qh, Tensor._wrap(keys[:, sl].T.copy(), False)), inv
-                )
-                decayed = mul_const(text_dots, decay_rows[h][None, :])
-                o_text = matmul(decayed, Tensor._wrap(values[:, sl].copy(), False))
-                img_dots = scale(
-                    matmul(qh, Tensor._wrap(k_img[:, sl].T.copy(), False)), inv
-                )
-                o_img = matmul(
-                    softmax_rows(img_dots), Tensor._wrap(v_img[:, sl].copy(), False)
-                )
-                heads.append(add(o_text, o_img))
+                decay = gammas[:, None] ** np.arange(t - 1, -1, -1,
+                                                     dtype=np.float64)
+            dots = bmm(q_rows, keys.reshape(-1, t, dh).transpose(0, 2, 1))
+            decayed = (dots.reshape(lanes, heads, t) * inv) * decay
+            merged = (bmm(decayed.reshape(-1, 1, t), values.reshape(-1, t, dh))
+                      .reshape(lanes, -1) + image_term(q, k_img, v_img, heads))
         else:
-            for h in range(cfg.heads):
-                sl = slice(h * dh, (h + 1) * dh)
-                qh = slice_cols(q, sl.start, sl.stop)
-                all_keys = np.vstack([k_img[:, sl], keys[:, sl]])
-                all_values = np.vstack([v_img[:, sl], values[:, sl]])
-                dots = scale(matmul(qh, Tensor._wrap(all_keys.T.copy(), False)), inv)
-                attn = softmax_rows(dots)
-                heads.append(matmul(attn, Tensor._wrap(all_values, False)))
-        merged = heads[0] if len(heads) == 1 else concat_cols(heads)
-        mixed = matmul(merged, self.projections.wo)
-        return self._post(x_row, mixed, None), k_new.data, v_new.data, logs_new
+            n = k_img.shape[0]
+
+            def with_image(cached, text):
+                img = cached.reshape(n, heads, dh).transpose(1, 0, 2)
+                img = np.broadcast_to(img, (lanes, heads, n, dh))
+                return np.concatenate([img, text], axis=2).reshape(-1, n + t, dh)
+
+            dots = bmm(q_rows, with_image(k_img, keys).transpose(0, 2, 1))
+            attn = softmax_rows(Tensor._wrap(dots.reshape(-1, n + t) * inv, False))
+            merged = bmm(attn.data.reshape(-1, 1, n + t),
+                         with_image(v_img, values)).reshape(lanes, -1)
+        mixed = matmul(Tensor._wrap(merged, False), self.projections.wo)
+        return self._post(x, mixed, None), keys, values, gate_logs
 
 
 class Model:
@@ -313,17 +308,15 @@ class Model:
         self.params: dict[str, Tensor] = {}
         self._init_params(np.random.default_rng(np.random.SeedSequence(
             entropy=[seed, 2])))
+        # the config is frozen, so the table this schedule caches never goes
+        # stale
+        self.schedule = GammaSchedule(config.gamma_strategy, config.layers,
+                                      config.heads, config.gamma_subtractor,
+                                      config.tau)
         if config.mixer == "retention" and config.gamma_strategy != "gated":
             # fail fast if the schedule is infeasible for this depth/width
-            GammaSchedule(config.gamma_strategy, config.layers, config.heads,
-                          config.gamma_subtractor, config.tau).values()
+            self.schedule.values()
         self.layers = [DecoderLayer(self, i) for i in range(config.layers)]
-
-    @property
-    def schedule(self) -> GammaSchedule:
-        cfg = self.config
-        return GammaSchedule(cfg.gamma_strategy, cfg.layers, cfg.heads,
-                             cfg.gamma_subtractor, cfg.tau)
 
     # --- parameters
 
@@ -424,9 +417,10 @@ class Model:
             tokens = dropout(tokens, self.config.dropout_embed, train.rng)
         return TextBatch(ids=ids, tokens=tokens)
 
-    def embed_text_step(self, token_id: int, position: int) -> Tensor:
-        emb = embedding_rows(self.params["char_embed"], [int(token_id)])
-        pe = sinusoidal_positions(position + 1, self.config.d_model)[-1:]
+    def embed_text_step(self, token_ids, position: int) -> Tensor:
+        """One (lanes, d) row per lane's token, all at the same position."""
+        emb = embedding_rows(self.params["char_embed"], token_ids)
+        pe = sinusoidal_positions(position + 1, self.config.d_model)[-1]
         return add(emb, Tensor._wrap(pe, False))
 
     # --- forward passes
@@ -454,17 +448,9 @@ class Model:
         """Per-layer image keys/values, computed once before decoding."""
         return armf_cache_image(self.embed_image(image).tokens, self.layers)
 
-    def fresh_states(self) -> list:
-        """Per-(layer, head) retention states for one decode lane."""
-        return [
-            [RetentionState.fresh(self.config.d_head)
-             for _ in range(self.config.heads)]
-            for _ in range(self.config.layers)
-        ]
-
-    def head_logits(self, x_row: Tensor) -> np.ndarray:
-        out = add(matmul(x_row, self.params["head_w"]), self.params["head_b"])
-        return out.data[0]
+    def head_logits(self, x: Tensor) -> np.ndarray:
+        """(lanes, vocab) logits for (lanes, d) rows."""
+        return add(matmul(x, self.params["head_w"]), self.params["head_b"]).data
 
 
 def training_loss(logits: Tensor, targets, epsilon: float = 0.4) -> Tensor:

@@ -11,6 +11,7 @@ shallow layers stay local and deep layers integrate long-range context.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -124,7 +125,14 @@ class GammaSchedule:
             raise ValueError("gamma_subtractor must lie in (0, 1)")
 
     def values(self) -> np.ndarray:
-        return gamma_schedule(self)
+        """The (layers, heads) table, evaluated once per schedule; read-only."""
+        return self._table
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        table = gamma_schedule(self)
+        table.flags.writeable = False
+        return table
 
     def layer_values(self, layer: int) -> np.ndarray:
         if not 0 <= layer < self.layers:

@@ -306,6 +306,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), grad_fn)
 
 
+def bmatmul(a: Tensor, b: Tensor) -> Tensor:
+    """Batched product of (n, m, k) and (n, k, p) stacks, slice by slice.
+    Registers the sum of the n per-slice matmul costs: n*m*k*p mults and
+    n*m*p*(k-1) adds."""
+    if a.data.ndim != 3 or b.data.ndim != 3:
+        raise ValueError("bmatmul expects 3-D tensors")
+    n, m, k = a.shape
+    n2, k2, p = b.shape
+    if n != n2 or k != k2:
+        raise ValueError(f"bmatmul: extents differ, {a.shape} x {b.shape}")
+    register_matmul_cost(n * m, k, p)
+    out = Tensor._wrap(np.matmul(a.data, b.data), False)
+
+    def grad_fn(g):
+        ga = np.matmul(g, b.data.transpose(0, 2, 1)) if a.requires_grad else None
+        gb = np.matmul(a.data.transpose(0, 2, 1), g) if b.requires_grad else None
+        return ga, gb
+
+    return _record(out, (a, b), grad_fn)
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError("transpose expects a 2-D tensor")

@@ -89,16 +89,12 @@ def cosine_lr(epoch: int, opt: OptimizerSettings) -> float:
     )
 
 
-def corpus_rates(model: Model, samples, vocab: Vocab, backend: str | None = None):
-    """Corpus-level CER/WER: total edit distance over total reference length."""
-    if backend is None:
-        backend = "recurrent" if model.config.mixer == "retention" else "kv"
+def transcript_rates(pairs):
+    """Corpus-level CER/WER of (hypothesis, reference) text pairs: total edit
+    distance over total reference length."""
     char_edits = char_total = 0
     word_edits = word_total = 0
-    for sample in samples:
-        result = greedy_decode(model, sample.image, backend=backend)
-        hyp = "".join(vocab.id_to_char(t) for t in result.tokens)
-        ref = sample.transcript
+    for hyp, ref in pairs:
         char_edits += edit_distance(hyp, ref)
         char_total += len(ref)
         word_edits += edit_distance(hyp.split(), ref.split())
@@ -106,6 +102,18 @@ def corpus_rates(model: Model, samples, vocab: Vocab, backend: str | None = None
     cer = char_edits / max(char_total, 1)
     wer = word_edits / max(word_total, 1)
     return cer, wer
+
+
+def corpus_rates(model: Model, samples, vocab: Vocab, backend: str | None = None):
+    """Corpus-level CER/WER of greedy transcripts of `samples`."""
+    if backend is None:
+        backend = "recurrent" if model.config.mixer == "retention" else "kv"
+    pairs = []
+    for sample in samples:
+        result = greedy_decode(model, sample.image, backend=backend)
+        hyp = "".join(vocab.id_to_char(t) for t in result.tokens)
+        pairs.append((hyp, sample.transcript))
+    return transcript_rates(pairs)
 
 
 def train(model: Model, train_samples, val_samples, vocab: Vocab,

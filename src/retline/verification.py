@@ -73,7 +73,6 @@ def check_armf_equivalence(seed: int = 0, trials: int = 100,
     """Fusion layer: parallel multi-head forward against cached-image
     recurrent steps, random head counts and partitions."""
     from .fusion import marmf_recurrent_step
-    from .retention import RetentionState
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 21]))
     worst = 0.0
@@ -94,11 +93,11 @@ def check_armf_equivalence(seed: int = 0, trials: int = 100,
                             layer_index, sched, proj, cfg).data
         k_img = x[:n_image] @ proj.wk.data
         v_img = x[:n_image] @ proj.wv.data
-        states = [RetentionState.fresh(cfg.d_head) for _ in range(heads)]
+        state = np.zeros((1, heads, d_head, d_head))  # one decode lane
         gammas = sched.layer_values(layer_index)
         for t in range(n_text):
-            row, states = marmf_recurrent_step(
-                states, (k_img, v_img), Tensor(x[n_image + t:n_image + t + 1]),
+            row, state = marmf_recurrent_step(
+                state, (k_img, v_img), Tensor(x[n_image + t:n_image + t + 1]),
                 proj, cfg, gammas,
             )
             worst = max(worst, float(np.max(np.abs(row.data[0] - par[n_image + t]))))

@@ -165,3 +165,68 @@ class TestSubcommands:
         rb = (tmp_path / "b" / "verify.txt").read_bytes()
         assert ra == rb
         assert b"PASS" in ra and b"FAIL" not in ra
+
+
+class TestDecodeScoring:
+    def checkpoint_and_data(self, tmp_path):
+        from retline.checkpoint import save_checkpoint
+        from retline.model import Model, ModelConfig
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("chars=ab\ncount=4\nmin_len=2\nmax_len=3\nmax_text_len=8\n")
+        data_dir = tmp_path / "data"
+        assert main(["--out-dir", str(data_dir), "--config", str(cfg),
+                     "gen-data"]) == 0
+        model = Model(ModelConfig(vocab_size=5, max_text_len=8, layers=1,
+                                  heads=2, d_model=16, d_ff=32,
+                                  cnn_channels=(4, 8, 8), dropout_mix=0.0,
+                                  dropout_embed=0.0), seed=0)
+        save_checkpoint(model, str(tmp_path / "model"))
+        return cfg, str(tmp_path / "model"), data_dir
+
+    def test_printed_rates_score_the_written_transcripts(self, tmp_path,
+                                                         capsys, monkeypatch):
+        import dataclasses
+        import re
+
+        from retline import decode
+        from retline.metrics import edit_distance
+
+        cfg, ckpt, data_dir = self.checkpoint_and_data(tmp_path)
+        real = decode.beam_search
+        beams = []
+
+        def beam_search(model, image, beam, *args, **kwargs):
+            beams.append(beam)
+            result = real(model, image, beam, *args, **kwargs)
+            if beam == 1:  # greedy disagrees with beam 3 on every line
+                result = dataclasses.replace(result,
+                                             tokens=result.tokens + (3,))
+            return result
+
+        monkeypatch.setattr(decode, "beam_search", beam_search)
+        manifest = data_dir / "manifest.tsv"
+        assert main(["--out-dir", str(tmp_path / "dec"), "--config", str(cfg),
+                     "decode", "--checkpoint", ckpt, "--data", str(manifest),
+                     "--beam", "3"]) == 0
+        refs = dict(line.split("\t")[0::2]
+                    for line in manifest.read_text().splitlines())
+        hyps = dict(line.split("\t") for line in
+                    (tmp_path / "dec" / "transcripts.txt").read_text()
+                    .splitlines())
+        cer = (sum(edit_distance(hyps[k], refs[k]) for k in refs)
+               / sum(len(r) for r in refs.values()))
+        wer = (sum(edit_distance(hyps[k].split(), refs[k].split()) for k in refs)
+               / sum(len(r.split()) for r in refs.values()))
+        printed = re.search(r"cer (\S+) wer (\S+);", capsys.readouterr().out)
+        assert printed.groups() == (f"{cer:.4f}", f"{wer:.4f}")
+        assert beams == [3] * len(refs)  # each line decoded once, with beam 3
+
+    def test_empty_manifest_exits_1_naming_it(self, tmp_path, capsys):
+        cfg, ckpt, data_dir = self.checkpoint_and_data(tmp_path)
+        empty = data_dir / "empty.tsv"  # next to the dataset.json sidecar
+        empty.write_text("")
+        code = main(["--out-dir", str(tmp_path / "dec"), "--config", str(cfg),
+                     "decode", "--checkpoint", ckpt, "--data", str(empty)])
+        assert code == 1
+        assert str(empty) in capsys.readouterr().err

@@ -10,8 +10,10 @@ from retline.decode import (
     kv_reindex,
     write_stats_csv,
 )
-from retline.data import Vocab
+from retline.data import EOS_ID, Vocab
+from retline.fusion import IMAGE_PRIORS
 from retline.model import Model, ModelConfig
+from retline.retention import GAMMA_STRATEGIES
 from retline.tensor import Tensor
 
 
@@ -155,6 +157,67 @@ class TestBeam:
         assert len(lines) == len(out.stats) + 1
 
 
+class TestBatchedLanes:
+    """Every live lane advances in one batched call per step; the counts,
+    transcripts and scores must not depend on that batching."""
+
+    # (mults, adds, live_elements) per step, recorded from the per-lane,
+    # per-head decoder this batched one replaced
+    PINNED = {
+        "recurrent": [(5120, 4544, 768)] + [(15360, 13632, 768)] * 5,
+        "kv": [(4672, 4348, 192), (14208, 13224, 384), (14400, 13404, 576),
+               (14592, 13584, 768), (14784, 13764, 960), (14976, 13944, 1152)],
+    }
+
+    @staticmethod
+    def no_eos(model):
+        # EOS never wins, so every decode runs to max_len
+        model.params["head_b"].data[EOS_ID] = -1e3
+        return model
+
+    @pytest.mark.parametrize("backend", ["recurrent", "kv"])
+    def test_step_stats_pinned(self, backend):
+        model = self.no_eos(small_model(seed=8))
+        out = beam_search(model, toy_image(9), beam=3, max_len=6,
+                          backend=backend)
+        rows = [(r["mults"], r["adds"], r["live_elements"]) for r in out.stats]
+        assert rows == self.PINNED[backend]
+
+    @pytest.mark.parametrize("strategy,prior", [
+        (s, p) for s in GAMMA_STRATEGIES for p in IMAGE_PRIORS
+        if s != "gated" or p == "none"  # gated decay rejects image priors
+    ])
+    def test_backends_agree_at_beam_10(self, strategy, prior):
+        cfg = ModelConfig(
+            vocab_size=8, max_text_len=12, layers=2, heads=2, d_model=16,
+            d_ff=32, cnn_channels=(4, 8, 8), gamma_strategy=strategy,
+            image_prior=prior, dropout_mix=0.0, dropout_embed=0.0,
+        )
+        model = self.no_eos(Model(cfg, seed=4))
+        for seed in range(2):
+            img = toy_image(seed, width=20 + 8 * seed)
+            rec = beam_search(model, img, beam=10, max_len=8,
+                              backend="recurrent")
+            kv = beam_search(model, img, beam=10, max_len=8, backend="kv")
+            assert rec.tokens == kv.tokens, seed
+            assert abs(rec.score - kv.score) <= 1e-9
+
+    def test_long_decode_backends_agree(self):
+        # the published max_text_len, with gammas near 1 (original schedule)
+        cfg = ModelConfig(
+            vocab_size=8, max_text_len=95, layers=2, heads=2, d_model=16,
+            d_ff=32, cnn_channels=(4, 8, 8), gamma_strategy="original",
+            dropout_mix=0.0, dropout_embed=0.0,
+        )
+        model = self.no_eos(Model(cfg, seed=6))
+        img = toy_image(7)
+        rec = beam_search(model, img, beam=2, backend="recurrent")
+        kv = beam_search(model, img, beam=2, backend="kv")
+        assert len(rec.stats) == len(kv.stats) == 95
+        assert rec.tokens == kv.tokens
+        assert abs(rec.score - kv.score) <= 1e-9
+
+
 class TestStepwiseMatchesParallel:
     """The decode-time step path must reproduce the teacher-forced forward
     logits position by position, for every mixer, backend, and decay mode."""
@@ -168,20 +231,14 @@ class TestStepwiseMatchesParallel:
         )
 
         cache = model.build_image_cache(image)
-        layers = model.config.layers
         if backend == "recurrent":
-            state = RecurrentDecodeState(lanes=[model.fresh_states()],
-                                         cache=cache)
+            state = RecurrentDecodeState.fresh(model.config)
             step = _lane_logits_recurrent
         else:
-            gated = (model.config.mixer == "retention"
-                     and model.config.gamma_strategy == "gated")
-            state = KVDecodeState(
-                keys=[[None] * layers], values=[[None] * layers], cache=cache,
-                gate_logs=[[None] * layers] if gated else None,
-            )
+            state = KVDecodeState.fresh(model.config)
             step = _lane_logits_kv
-        return np.array([step(model, state, 0, tok, t)
+        # one lane: each call returns a (1, vocab) logits row
+        return np.array([step(model, state, cache, [tok], t)[0]
                          for t, tok in enumerate(ids)])
 
     @pytest.mark.parametrize("mixer,backend,extra", [
@@ -209,27 +266,28 @@ class TestStepwiseMatchesParallel:
 
 class TestKvReindex:
     def lanes(self):
-        cache_free = KVDecodeState(
-            keys=[[np.arange(6.0).reshape(3, 2)], [np.arange(6.0, 12.0).reshape(3, 2)],
-                  [np.arange(12.0, 18.0).reshape(3, 2)]],
-            values=[[np.zeros((3, 2))], [np.ones((3, 2))], [np.full((3, 2), 2.0)]],
-            cache=None,
-        )
-        return cache_free
+        # one layer, three lanes of one head, t=3, d_head=2
+        keys = np.stack([np.arange(6.0).reshape(3, 2),
+                         np.arange(6.0, 12.0).reshape(3, 2),
+                         np.arange(12.0, 18.0).reshape(3, 2)])[:, None]
+        values = np.stack([np.zeros((3, 2)), np.ones((3, 2)),
+                           np.full((3, 2), 2.0)])[:, None]
+        return KVDecodeState(keys=[keys], values=[values], gate_logs=[None])
 
     def test_identity_permutation_keeps_contents(self):
         state = self.lanes()
         out = kv_reindex(state, [0, 1, 2])
         for lane in range(3):
-            np.testing.assert_array_equal(out.keys[lane][0], state.keys[lane][0])
-            assert out.keys[lane][0] is not state.keys[lane][0]  # fresh copy
+            np.testing.assert_array_equal(out.keys[0][lane], state.keys[0][lane])
+            # fresh copy
+            assert not np.shares_memory(out.keys[0][lane], state.keys[0][lane])
 
     def test_gather_contract(self):
         state = self.lanes()
         out = kv_reindex(state, [2, 0, 0])
-        np.testing.assert_array_equal(out.keys[0][0], state.keys[2][0])
-        np.testing.assert_array_equal(out.keys[1][0], state.keys[0][0])
-        np.testing.assert_array_equal(out.keys[2][0], state.keys[0][0])
+        np.testing.assert_array_equal(out.keys[0][0], state.keys[0][2])
+        np.testing.assert_array_equal(out.keys[0][1], state.keys[0][0])
+        np.testing.assert_array_equal(out.keys[0][2], state.keys[0][0])
 
     def test_out_of_range_parent_rejected(self):
         with pytest.raises(ValueError):

@@ -366,11 +366,11 @@ class TestMultiHead:
 
             k_img = x[:n_image] @ proj.wk.data
             v_img = x[:n_image] @ proj.wv.data
-            states = [RetentionState.fresh(cfg.d_head) for _ in range(heads)]
+            state = np.zeros((1, heads, cfg.d_head, cfg.d_head))  # one lane
             gammas = sched.layer_values(1)
             for t in range(n_text):
-                row, states = marmf_recurrent_step(
-                    states, (k_img, v_img),
+                row, state = marmf_recurrent_step(
+                    state, (k_img, v_img),
                     Tensor(x[n_image + t:n_image + t + 1]), proj, cfg, gammas,
                 )
                 delta = np.max(np.abs(row.data[0] - par[n_image + t]))
@@ -390,13 +390,13 @@ class TestMultiHead:
 
         k_img = x[:n_image] @ proj.wk.data
         v_img = x[:n_image] @ proj.wv.data
-        states = [RetentionState.fresh(cfg.d_head) for _ in range(heads)]
+        state = np.zeros((1, heads, cfg.d_head, cfg.d_head))  # one lane
         for t in range(n_text):
             x_n = x[n_image + t:n_image + t + 1]
             z = x_n @ w_gamma.data
             gammas = (1.0 / (1.0 + np.exp(-z))) ** (1.0 / 16.0)
-            row, states = marmf_recurrent_step(
-                states, (k_img, v_img), Tensor(x_n), proj, cfg, gammas[0],
+            row, state = marmf_recurrent_step(
+                state, (k_img, v_img), Tensor(x_n), proj, cfg, gammas[0],
             )
             assert np.max(np.abs(row.data[0] - par[n_image + t])) <= 1e-10
 

@@ -7,6 +7,7 @@ from retline.tensor import (
     Tensor,
     add,
     backward,
+    bmatmul,
     concat_cols,
     concat_rows,
     count_ops,
@@ -21,6 +22,7 @@ from retline.tensor import (
     mean_all,
     mul,
     mul_const,
+    permute,
     pow_const,
     rotate_pairs,
     scale_rows,
@@ -101,6 +103,42 @@ class TestMatmul:
                 matmul(rand((2, 2)), rand((2, 2)))
         assert inner.mults == 8
         assert outer.mults == 16
+
+
+class TestBatchedMatmul:
+    def test_slices_and_counts_match_matmul(self):
+        for (n, m, k, p) in [(1, 1, 1, 1), (3, 1, 4, 5), (4, 2, 7, 1),
+                             (2, 8, 8, 8)]:
+            a, b = rand((n, m, k), seed=k), rand((n, k, p), seed=p)
+            batched, sliced = OpCounter(), OpCounter()
+            with count_ops(batched):
+                out = bmatmul(a, b)
+            with count_ops(sliced):
+                for i in range(n):
+                    want = matmul(Tensor(a.data[i]), Tensor(b.data[i])).data
+                    np.testing.assert_allclose(out.data[i], want, rtol=1e-12,
+                                               atol=1e-12)
+            assert batched.snapshot() == sliced.snapshot()
+
+    def test_shape_mismatch_rejected(self):
+        for sa, sb in [((2, 3, 4), (3, 4, 2)), ((2, 3, 4), (2, 3, 2)),
+                       ((3, 4), (4, 2))]:
+            with pytest.raises(ValueError):
+                bmatmul(rand(sa), rand(sb))
+
+    def test_gradient(self):
+        rng = np.random.default_rng(44)
+        w = Tensor(rng.standard_normal((3, 4, 2)))
+        cases = [
+            lambda t: sum_all(mul(bmatmul(t, w), bmatmul(t, w))),
+            lambda t: sum_all(mul(bmatmul(permute(t, (0, 2, 1)), t),
+                                  bmatmul(permute(t, (0, 2, 1)), t))),
+        ]
+        for i, f in enumerate(cases):
+            for trial in range(3):
+                x = Tensor(rng.standard_normal((3, 2, 4)))
+                err = grad_check(f, x)
+                assert err <= 1e-6, f"case {i} trial {trial}: {err}"
 
 
 class TestSoftmax:
