@@ -43,33 +43,37 @@ def save_checkpoint(model: Model, path_prefix: str) -> None:
 
 
 def load_checkpoint(path_prefix: str) -> Model:
-    with open(path_prefix + ".json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    with open(path_prefix + ".bin", "rb") as fh:
-        raw = fh.read()
-    if len(raw) != manifest["blob_bytes"]:
-        raise ValueError(
-            f"blob is {len(raw)} bytes, manifest expects {manifest['blob_bytes']}"
-        )
-    cfg_dict = dict(manifest["config"])
-    cfg_dict["cnn_channels"] = tuple(cfg_dict["cnn_channels"])
-    config = ModelConfig(**cfg_dict)
-    model = Model(config, seed=0)
-    for name, t in model.params.items():
-        entry = manifest["tensors"].get(name)
-        if entry is None:
-            raise ValueError(f"checkpoint is missing tensor {name!r}")
-        shape = tuple(entry["shape"])
-        if shape != t.shape:
+    """A malformed manifest or blob raises ValueError naming the checkpoint."""
+    try:
+        with open(path_prefix + ".json", "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        with open(path_prefix + ".bin", "rb") as fh:
+            raw = fh.read()
+        if len(raw) != manifest["blob_bytes"]:
             raise ValueError(
-                f"tensor {name!r} has shape {shape} in the checkpoint, "
-                f"model expects {t.shape}"
+                f"blob is {len(raw)} bytes, manifest expects {manifest['blob_bytes']}"
             )
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + 4 * count
-        if end > len(raw):
-            raise ValueError(f"blob truncated while reading tensor {name!r}")
-        values = np.frombuffer(raw, dtype=_DTYPE, count=count, offset=start)
-        t.data = values.astype(np.float64).reshape(shape)
+        cfg_dict = dict(manifest["config"])
+        cfg_dict["cnn_channels"] = tuple(cfg_dict["cnn_channels"])
+        config = ModelConfig(**cfg_dict)
+        model = Model(config, seed=0)
+        for name, t in model.params.items():
+            entry = manifest["tensors"].get(name)
+            if entry is None:
+                raise ValueError(f"missing tensor {name!r}")
+            shape = tuple(entry["shape"])
+            if shape != t.shape:
+                raise ValueError(
+                    f"tensor {name!r} has shape {shape} in the checkpoint, "
+                    f"model expects {t.shape}"
+                )
+            count = int(np.prod(shape)) if shape else 1
+            start = entry["offset"]
+            end = start + 4 * count
+            if end > len(raw):
+                raise ValueError(f"blob truncated while reading tensor {name!r}")
+            values = np.frombuffer(raw, dtype=_DTYPE, count=count, offset=start)
+            t.data = values.astype(np.float64).reshape(shape)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path_prefix}: {type(exc).__name__}: {exc}") from exc
     return model

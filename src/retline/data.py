@@ -310,7 +310,10 @@ def load_manifest(path) -> Dataset:
     vocab = None
     if os.path.exists(sidecar_path):
         with open(sidecar_path, "r", encoding="utf-8") as fh:
-            vocab = Vocab(json.load(fh)["vocab"])
+            sidecar = json.load(fh)
+        if not isinstance(sidecar, dict) or "vocab" not in sidecar:
+            raise ValueError(f"{sidecar_path}: no 'vocab' entry")
+        vocab = Vocab(sidecar["vocab"])
 
     entries, seen = [], set()
     for lineno, line in enumerate(raw_lines, start=1):

@@ -139,9 +139,9 @@ class TextBatch:
     tokens: Tensor  # (len, d_model) embeddings plus sinusoidal positions
 
 
-def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
-    """PE(pos, 2i) = sin(pos / 10000^(2i/d)), PE(pos, 2i+1) = cos(same)."""
-    pos = np.arange(length)[:, None]
+def sinusoidal_positions(length: int, d_model: int, first: int = 0) -> np.ndarray:
+    """PE(pos, 2i) = sin(pos / 10000^(2i/d)), PE(pos, 2i+1) = cos(same), from pos = first."""
+    pos = np.arange(first, first + length)[:, None]
     i = np.arange(0, d_model, 2)[None, :]
     angle = pos / (10000.0 ** (i / d_model))
     pe = np.zeros((length, d_model))
@@ -362,10 +362,6 @@ class Model:
     def parameter_shapes(self) -> dict:
         return {name: t.shape for name, t in self.params.items()}
 
-    def snap_params_to_f32(self) -> None:
-        for t in self.params.values():
-            t.data = _f32(t.data)
-
     # --- embedders
 
     def image_token_count(self, width: int) -> int:
@@ -420,7 +416,7 @@ class Model:
     def embed_text_step(self, token_ids, position: int) -> Tensor:
         """One (lanes, d) row per lane's token, all at the same position."""
         emb = embedding_rows(self.params["char_embed"], token_ids)
-        pe = sinusoidal_positions(position + 1, self.config.d_model)[-1]
+        pe = sinusoidal_positions(1, self.config.d_model, first=position)[0]
         return add(emb, Tensor._wrap(pe, False))
 
     # --- forward passes

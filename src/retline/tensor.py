@@ -694,24 +694,21 @@ def unfold(x: Tensor, kernel: int, stride: tuple, pad: int):
     padded = np.zeros((c, hp, wp))
     padded[:, pad:pad + h, pad:pad + w] = x.data
 
-    # flat gather indices into the padded array, shape (oh*ow, c*k*k)
-    ci = np.arange(c)[None, :, None, None]
-    ki = np.arange(kernel)[None, None, :, None]
-    kj = np.arange(kernel)[None, None, None, :]
-    base_i = (np.arange(oh) * sh)[:, None]
-    base_j = (np.arange(ow) * sw)[None, :]
-    pos_i = (base_i + np.zeros_like(base_j)).reshape(-1)[:, None, None, None]
-    pos_j = (base_j + np.zeros_like(base_i)).reshape(-1)[:, None, None, None]
-    flat = (ci * hp + pos_i + ki) * wp + (pos_j + kj)
-    flat = flat.reshape(oh * ow, c * kernel * kernel)
-
-    cols = padded.reshape(-1)[flat]
-    out = Tensor._wrap(np.ascontiguousarray(cols), False)
+    # a strided view of every patch, copied once in (oh, ow, c, k, k) order
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, (kernel, kernel), axis=(1, 2))[:, ::sh, ::sw]
+    cols = np.ascontiguousarray(windows.transpose(1, 2, 0, 3, 4))
+    out = Tensor._wrap(cols.reshape(oh * ow, c * kernel * kernel), False)
 
     def grad_fn(g):
-        gpad = np.zeros(c * hp * wp)
-        np.add.at(gpad, flat.reshape(-1), g.reshape(-1))
-        gpad = gpad.reshape(c, hp, wp)
+        g = g.reshape(oh, ow, c, kernel, kernel).transpose(2, 3, 4, 0, 1)
+        gpad = np.zeros((c, hp, wp))
+        # a padded element gets its terms in increasing output position,
+        # i.e. decreasing (ki, kj): the order a scatter-add over the patch
+        # rows would use, so the sums match it bitwise
+        for ki in reversed(range(kernel)):
+            for kj in reversed(range(kernel)):
+                gpad[:, ki:ki + sh * oh:sh, kj:kj + sw * ow:sw] += g[:, ki, kj]
         return (np.ascontiguousarray(gpad[:, pad:pad + h, pad:pad + w]),)
 
     return _record(out, (x,), grad_fn), oh, ow

@@ -222,6 +222,25 @@ class TestDecodeScoring:
         assert printed.groups() == (f"{cer:.4f}", f"{wer:.4f}")
         assert beams == [3] * len(refs)  # each line decoded once, with beam 3
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["config"].update(warp_speed=9),
+        lambda m: m.pop("tensors"),
+    ], ids=["unknown_config_key", "no_tensors"])
+    def test_malformed_checkpoint_exits_1_naming_it(self, tmp_path, capsys,
+                                                    edit):
+        import json
+
+        cfg, ckpt, _ = self.checkpoint_and_data(tmp_path)
+        with open(ckpt + ".json") as fh:
+            manifest = json.load(fh)
+        edit(manifest)
+        with open(ckpt + ".json", "w") as fh:
+            json.dump(manifest, fh)
+        code = main(["--out-dir", str(tmp_path / "maps"), "--config", str(cfg),
+                     "dump-maps", "--checkpoint", ckpt])
+        assert code == 1
+        assert ckpt in capsys.readouterr().err
+
     def test_empty_manifest_exits_1_naming_it(self, tmp_path, capsys):
         cfg, ckpt, data_dir = self.checkpoint_and_data(tmp_path)
         empty = data_dir / "empty.tsv"  # next to the dataset.json sidecar

@@ -237,6 +237,14 @@ class TestManifest:
         with pytest.raises(ValueError, match="outside the vocabulary"):
             load_manifest(manifest)
 
+    def test_sidecar_without_vocab_names_it(self, tmp_path):
+        generate_dataset(tmp_path, "ab", count=1, min_len=2, max_len=2, seed=5)
+        sidecar = tmp_path / "dataset.json"
+        sidecar.write_text('{"chars": "ab"}')
+        with pytest.raises(ValueError, match="vocab") as err:
+            load_manifest(tmp_path / "manifest.tsv")
+        assert str(sidecar) in str(err.value)
+
     def test_relabeling_preserves_geometry(self):
         # consistently renaming characters changes ids, not image geometry
         a = render_line("abab").image.data

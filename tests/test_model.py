@@ -77,12 +77,41 @@ class TestImageEmbedding:
         with pytest.raises(ValueError):
             model.embed_image(Tensor(np.zeros((1, 40, 16))))
 
+    @pytest.mark.parametrize("text,digest", [
+        ("ab", "cd831a26941795b2da2f2b167763c62d"
+               "8193ab24a983a894a800c1ed9db49f47"),
+        ("abcdabcdabc", "cdd9498ce763922de5fa6e1ee6a15828"
+                        "e623dc92f18b885632969fbea712836d"),
+    ])
+    def test_tokens_match_pinned_digest(self, text, digest):
+        # sha256 of the float64 token bytes, recorded with the gather-index
+        # im2col that the strided `unfold` replaced
+        import hashlib
+
+        tokens = Model(tiny_config(), seed=11).embed_image(
+            render_line(text).image).tokens.data
+        assert hashlib.sha256(tokens.tobytes()).hexdigest() == digest
+
 
 class TestTextEmbedding:
     def test_position_zero_contributions(self):
         pe = sinusoidal_positions(1, 8)[0]
         np.testing.assert_array_equal(pe[0::2], 0.0)
         np.testing.assert_array_equal(pe[1::2], 1.0)
+
+    def test_single_row_equals_table_row(self):
+        table = sinusoidal_positions(200, 64)
+        for pos in range(200):
+            row = sinusoidal_positions(1, 64, first=pos)
+            np.testing.assert_array_equal(row, table[pos:pos + 1])
+
+    def test_step_embedding_equals_sequence_embedding(self):
+        model = Model(tiny_config())
+        ids = [3, 4, 5, 6, 3]
+        rows = model.embed_text(ids).tokens.data
+        for pos, token in enumerate(ids):
+            step = model.embed_text_step([token], pos).data
+            np.testing.assert_array_equal(step[0], rows[pos])
 
     def test_bounded(self):
         pe = sinusoidal_positions(1000, 24)
@@ -260,6 +289,29 @@ class TestCheckpoint:
         open(tmp_path / "m.bin", "wb").write(raw[:-8])
         with pytest.raises(ValueError):
             load_checkpoint(str(tmp_path / "m"))
+
+    def edited_manifest(self, tmp_path, edit):
+        import json
+
+        save_checkpoint(Model(tiny_config(), seed=7), str(tmp_path / "m"))
+        manifest = json.load(open(tmp_path / "m.json"))
+        edit(manifest)
+        json.dump(manifest, open(tmp_path / "m.json", "w"))
+        return str(tmp_path / "m")
+
+    def test_unknown_config_key_names_the_file(self, tmp_path):
+        prefix = self.edited_manifest(
+            tmp_path, lambda m: m["config"].update(warp_speed=9))
+        with pytest.raises(ValueError, match="warp_speed") as err:
+            load_checkpoint(prefix)
+        assert prefix in str(err.value)
+
+    @pytest.mark.parametrize("key", ["blob_bytes", "config", "tensors"])
+    def test_missing_manifest_section_names_the_file(self, tmp_path, key):
+        prefix = self.edited_manifest(tmp_path, lambda m: m.pop(key))
+        with pytest.raises(ValueError, match=key) as err:
+            load_checkpoint(prefix)
+        assert prefix in str(err.value)
 
 
 class TestEndToEndGradients:

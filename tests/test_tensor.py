@@ -345,6 +345,58 @@ class TestUnfold:
         assert err <= 1e-6
 
 
+def gather_unfold(x, kernel, stride, pad):
+    """The index-array im2col that `unfold` replaced: a fancy-index gather
+    forward and an `np.add.at` scatter backward. Returns (cols, backward)."""
+    c, h, w = x.shape
+    sh, sw = stride
+    oh = (h + 2 * pad - kernel) // sh + 1
+    ow = (w + 2 * pad - kernel) // sw + 1
+    hp, wp = h + 2 * pad, w + 2 * pad
+    padded = np.zeros((c, hp, wp))
+    padded[:, pad:pad + h, pad:pad + w] = x
+    ci = np.arange(c)[None, :, None, None]
+    ki = np.arange(kernel)[None, None, :, None]
+    kj = np.arange(kernel)[None, None, None, :]
+    base_i = (np.arange(oh) * sh)[:, None]
+    base_j = (np.arange(ow) * sw)[None, :]
+    pos_i = (base_i + np.zeros_like(base_j)).reshape(-1)[:, None, None, None]
+    pos_j = (base_j + np.zeros_like(base_i)).reshape(-1)[:, None, None, None]
+    flat = ((ci * hp + pos_i + ki) * wp + (pos_j + kj)).reshape(oh * ow, -1)
+
+    def backward_fn(g):
+        gpad = np.zeros(c * hp * wp)
+        np.add.at(gpad, flat.reshape(-1), g.reshape(-1))
+        return gpad.reshape(c, hp, wp)[:, pad:pad + h, pad:pad + w]
+
+    return padded.reshape(-1)[flat], backward_fn
+
+
+class TestUnfoldMatchesGather:
+    """The strided-view `unfold` equals the gather/scatter im2col bitwise,
+    forward and backward."""
+
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("pad", [0, 2])
+    @pytest.mark.parametrize("hw", [(7, 9), (5, 11)])  # (5, 11) at k=5, pad=0: oh == 1
+    def test_bitwise(self, c, kernel, stride, pad, hw):
+        rng = np.random.default_rng(c * 1000 + kernel * 100 + pad)
+        x = Tensor(rng.standard_normal((c,) + hw), requires_grad=True)
+        ref_cols, ref_backward = gather_unfold(x.data, kernel, stride, pad)
+        upstream = Tensor(rng.standard_normal(ref_cols.shape))
+        with Tape():
+            cols, oh, ow = unfold(x, kernel, stride, pad)
+            backward(sum_all(mul(cols, upstream)))
+        assert cols.shape == (oh * ow, c * kernel * kernel)
+        assert np.array_equal(cols.data, ref_cols)
+        assert np.array_equal(x.grad, ref_backward(upstream.data))
+
+    def test_grid_has_a_single_output_row(self):
+        assert unfold(Tensor(np.zeros((1, 5, 11))), 5, (3, 2), 0)[1] == 1
+
+
 class TestDropout:
     def test_zero_rate_is_identity(self):
         x = rand((3, 3))

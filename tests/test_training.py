@@ -132,6 +132,21 @@ class TestLoop:
         assert "np.float" not in path.read_text()
         assert float(lines[1].split(",")[2]) == pytest.approx(1e-3)
 
+    def test_loss_rows_match_pinned_values(self):
+        # recorded with the gather-index im2col that the strided `unfold`
+        # replaced; the second loss depends on every CNN gradient
+        model, train_s, val_s, vocab = tiny_setup()
+        opt = OptimizerSettings(lr_max=3e-3, lr_min=1e-4, restart_epochs=5)
+        rows = train(model, train_s, val_s, vocab, opt,
+                     TrainSettings(epochs=2, batch_size=4,
+                                   label_smoothing=0.1))
+        assert rows == [
+            {"epoch": 0, "step": 2, "lr": 0.003, "loss": 2.3609989555162763,
+             "val_cer": 1.0, "val_wer": 1.0},
+            {"epoch": 1, "step": 4, "lr": 0.002723074641843674,
+             "loss": 1.9605148480189118, "val_cer": 1.0, "val_wer": 1.0},
+        ]
+
     def test_corpus_rates_on_perfect_hypotheses(self):
         model, train_s, val_s, vocab = tiny_setup()
         cer_val, wer_val = corpus_rates(model, val_s, vocab)
