@@ -198,6 +198,10 @@ def sweep_rows(ns, ds, beams, decodeds, heads_list) -> list:
         for h in heads_list:
             if d % h != 0:
                 raise ValueError(f"width {d} is not divisible by {h} heads")
+    # the op counts depend on (form, n, d) only: run the oracle once for each
+    counts = {(form, n, d): (flops_instrumented(form, n, d),
+                             flops_closed_form(form, n, d))
+              for n in ns for d in ds for form in FORMS}
     rows = []
     for n in ns:
         for d in ds:
@@ -205,8 +209,7 @@ def sweep_rows(ns, ds, beams, decodeds, heads_list) -> list:
                 for dec in decodeds:
                     for h in heads_list:
                         for form in FORMS:
-                            inst = flops_instrumented(form, n, d)
-                            closed = flops_closed_form(form, n, d)
+                            inst, closed = counts[form, n, d]
                             if form == "recurrent":
                                 persistent = peak = memory_elements(
                                     "recurrent", beam, dec, d, h)

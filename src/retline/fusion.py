@@ -8,6 +8,11 @@ entirely. Because the image block is position-independent row by row, the
 whole layer collapses to a constant-cost recurrence at decode time: a
 fixed-size retention state per head plus one softmax over the precomputed
 image keys/values.
+
+Every parallel pass runs one batched core over (H, n, d_head) head stacks:
+`mixing_weights` gives all heads' (H, N, N) weights for the multi-head
+forward and for `armf_parallel` (H = 1); the attention twin shares its
+`scaled_scores`, and the score maps read the weights the forward computed.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .retention import (
     build_decay,
     build_decay_bidirectional,
     gamma_schedule,
+    gate_gammas,
 )
 from .tensor import (
     Tensor,
@@ -35,13 +41,12 @@ from .tensor import (
     mul,
     mul_const,
     normalize_rows,
-    pow_const,
+    permute,
+    reshape,
     scale,
-    sigmoid,
     slice_cols,
     slice_rows,
     softmax_rows,
-    transpose,
 )
 
 # none: plain softmax between image tokens; fixed: reweighted by a
@@ -80,14 +85,6 @@ class ARMFProjections:
 
 
 @dataclass(frozen=True)
-class ARMFMask:
-    """Dependency mask over text keys: zero rows for image queries, causal
-    decay for text queries, ones on the text-query diagonal."""
-
-    entries: np.ndarray  # (N, N_T)
-
-
-@dataclass(frozen=True)
 class ARMFHeadConfig:
     """Static head layout for one fusion layer: width, head count, and how the
     image-to-image block is (optionally) reweighted by a bidirectional decay
@@ -108,73 +105,70 @@ class ARMFHeadConfig:
         return self.d_model // self.heads
 
 
-def build_armf_mask(n_image: int, n_text: int, gamma: float) -> ARMFMask:
+def build_armf_mask(n_image: int, n_text: int, gamma) -> np.ndarray:
+    """Dependency weights over text keys, (N, N_T): zero rows for image
+    queries, causal decay gamma^(i-j) for text queries, ones on the
+    text-query diagonal. An (H,) vector of gammas gives an (H, N, N_T)
+    stack."""
     if n_image < 1:
         raise ValueError("mask needs at least one image token")
+    zeros = np.zeros(np.shape(gamma) + (n_image, n_text))
     if n_text == 0:
-        return ARMFMask(entries=np.zeros((n_image, 0)))
-    causal = build_decay(n_text, gamma).entries
-    return ARMFMask(entries=np.vstack([np.zeros((n_image, n_text)), causal]))
+        return zeros
+    return np.concatenate([zeros, build_decay(n_text, gamma).entries], axis=-2)
 
 
-def _image_block(dots_img: Tensor, n_image: int, prior_gamma: float | None) -> Tensor:
-    """Row-wise softmax over image keys, optionally reweighted for image-query
-    rows by the bidirectional decay prior and renormalized."""
-    soft = softmax_rows(dots_img)
-    if prior_gamma is None:
-        return soft
-    prior = build_decay_bidirectional(n_image, prior_gamma).entries
-    img_rows = normalize_rows(mul_const(slice_rows(soft, 0, n_image), prior))
-    n = dots_img.shape[0]
-    if n == n_image:
-        return img_rows
-    return concat_rows([img_rows, slice_rows(soft, n_image, n)])
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    """(n, H * d_head) rows to an (H, n, d_head) stack of head slices."""
+    n, d = x.shape
+    return permute(reshape(x, (n, heads, d // heads)), (1, 0, 2))
 
 
-def _gated_text_decay(gates: Tensor) -> Tensor:
-    """Differentiable product-form decay from per-position gates: entry (i, j)
-    = prod of gates j+1..i below the diagonal, built as exp of cumulative
-    log-gate differences."""
-    n = gates.shape[0]
-    logs = log(gates)  # (n, 1)
-    cum = cumsum0(logs)
-    ones = Tensor(np.ones((1, n)))
-    diff = matmul(cum, ones)  # row i holds cum[i]
-    diff = diff - transpose(diff)  # cum[i] - cum[j]
+def merge_heads(x: Tensor) -> Tensor:
+    """(H, n, d_head) head outputs back to (n, H * d_head) rows."""
+    heads, n, d_head = x.shape
+    return reshape(permute(x, (1, 0, 2)), (n, heads * d_head))
+
+
+def scaled_scores(q: Tensor, k: Tensor) -> Tensor:
+    """(H, N, N) query-key scores of every head, scaled by 1/sqrt(d_head)."""
+    return scale(bmatmul(q, permute(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[2]))
+
+
+def _gated_text_decay(gates: Tensor, n_image: int) -> Tensor:
+    """Differentiable (H, N, N_T) decay from (N_T, H) per-position gates:
+    zero image-query rows, then entry (i, j) = prod of gates j+1..i below the
+    diagonal, built as exp of cumulative log-gate differences."""
+    n, heads = gates.shape
+    cum = reshape(permute(cumsum0(log(gates)), (1, 0)), (heads, n, 1))
+    rows = bmatmul(cum, Tensor(np.ones((heads, 1, n))))  # row i holds cum[i]
+    diff = rows - permute(rows, (0, 2, 1))  # cum[i] - cum[j]
     tril = np.tril(np.ones((n, n)))
-    return mul(exp(mul_const(diff, tril)), Tensor(tril))
+    decay = mul_const(exp(mul_const(diff, tril)), tril)
+    return concat_rows([Tensor(np.zeros((heads, n_image, n))), decay])
 
 
-def _armf_single_head(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    n_image: int,
-    n_text: int,
-    gamma,
-    prior_gamma: float | None,
-) -> Tensor:
-    """Core fusion for one head. `gamma` is a float for fixed decay or a
-    (n_text, 1) gate tensor for data-dependent decay. Scores are scaled by
-    1/sqrt(d_head) before both the softmax and the decay mask."""
-    d_head = q.shape[1]
-    dots = scale(matmul(q, transpose(k)), 1.0 / np.sqrt(d_head))
-    dots_img = slice_cols(dots, 0, n_image)
-    img = _image_block(dots_img, n_image, prior_gamma)
-    if n_text == 0:
-        return matmul(img, slice_rows(v, 0, n_image))
-    dots_text = slice_cols(dots, n_image, n_image + n_text)
-    if isinstance(gamma, Tensor):
-        decay = _gated_text_decay(gamma)
-        text_queries = slice_rows(dots_text, n_image, n_image + n_text)
-        text = concat_rows(
-            [Tensor(np.zeros((n_image, n_text))), mul(text_queries, decay)]
-        )
-    else:
-        mask = build_armf_mask(n_image, n_text, gamma)
-        text = mul_const(dots_text, mask.entries)
-    ret = concat_cols([img, text])
-    return matmul(ret, v)
+def mixing_weights(q: Tensor, k: Tensor, n_image: int, decay,
+                   prior_gamma=None) -> Tensor:
+    """(H, N, N) fusion weights of every head from (H, N, d_head) queries and
+    keys. Image keys: row-wise softmax of the scaled scores, whose image-query
+    rows are optionally reweighted by the bidirectional prior built from one
+    gamma per head, (H, N_I, N_I), and renormalized. Text keys: the scaled
+    scores times the (H, N, N_T) decay, an array for fixed gammas or a tensor
+    for gates, whose image-query rows are zero."""
+    dots = scaled_scores(q, k)
+    n = dots.shape[1]
+    img = softmax_rows(slice_cols(dots, 0, n_image))
+    if prior_gamma is not None:
+        prior = build_decay_bidirectional(n_image, prior_gamma).entries
+        img_rows = normalize_rows(mul_const(slice_rows(img, 0, n_image), prior))
+        img = img_rows if n == n_image else concat_rows(
+            [img_rows, slice_rows(img, n_image, n)])
+    if n == n_image:
+        return img
+    text = slice_cols(dots, n_image, n)
+    text = mul(text, decay) if isinstance(decay, Tensor) else mul_const(text, decay)
+    return concat_cols([img, text])
 
 
 def armf_parallel(
@@ -185,12 +179,12 @@ def armf_parallel(
 ) -> Tensor:
     """Single-head parallel fusion over the full width (no output projection):
     softmax(image scores) next to decay-masked text scores, times V."""
-    q = matmul(seq.x, proj.wq)
-    k = matmul(seq.x, proj.wk)
-    v = matmul(seq.x, proj.wv)
-    return _armf_single_head(
-        q, k, v, seq.n_image, seq.n_text, gamma, prior_gamma
-    )
+    q, k, v = (split_heads(matmul(seq.x, w), 1)
+               for w in (proj.wq, proj.wk, proj.wv))
+    weights = mixing_weights(q, k, seq.n_image,
+                             build_armf_mask(seq.n_image, seq.n_text, gamma),
+                             prior_gamma)
+    return merge_heads(bmatmul(weights, v))
 
 
 def marmf_forward(
@@ -200,51 +194,45 @@ def marmf_forward(
     proj: ARMFProjections,
     cfg: ARMFHeadConfig,
     gate_weights: Tensor | None = None,
+    capture: list | None = None,
 ) -> Tensor:
     """Multi-head fusion: each head runs with its own scheduled gamma, heads
     are concatenated, and the result goes through the output projection.
     No group normalization and no gate follow the heads.
 
     With the gated schedule, per-position gates come from the text-token
-    inputs through `gate_weights` instead of the fixed table.
+    inputs through `gate_weights` instead of the fixed table. A `capture`
+    list receives the (H, N, N) mixing weights and the (H, N_T, N_T) text
+    decay of this pass.
     """
     if not 0 <= layer_index < schedule.layers:
         raise ValueError(f"layer index {layer_index} out of range")
     if schedule.heads != cfg.heads:
         raise ValueError("schedule and head config disagree on head count")
-    q = matmul(seq.x, proj.wq)
-    k = matmul(seq.x, proj.wk)
-    v = matmul(seq.x, proj.wv)
-    gated = schedule.strategy == "gated"
-    if gated:
+    # q, k and v are recorded before the gates: backward sums the input's
+    # gradient terms in tape order
+    q, k, v = (split_heads(matmul(seq.x, w), cfg.heads)
+               for w in (proj.wq, proj.wk, proj.wv))
+    n_image, n = seq.n_image, seq.n_image + seq.n_text
+    if schedule.strategy == "gated":
         if gate_weights is None:
             raise ValueError("gated schedule requires gate weights")
         if cfg.image_prior != "none":
             raise ValueError("the image prior needs a fixed-gamma schedule")
+        decay = np.zeros((cfg.heads, n_image, 0))
         if seq.n_text > 0:
-            text_x = slice_rows(seq.x, seq.n_image, seq.n_image + seq.n_text)
-            gates_all = pow_const(
-                sigmoid(matmul(text_x, gate_weights)), 1.0 / schedule.tau
-            )
+            gates = gate_gammas(matmul(slice_rows(seq.x, n_image, n),
+                                       gate_weights), schedule.tau)
+            decay = _gated_text_decay(gates, n_image)
     else:
-        gammas = schedule.layer_values(layer_index)
-    prior_gammas = image_prior_gammas(cfg, schedule, layer_index)
-    dh = cfg.d_head
-    heads = []
-    for h in range(cfg.heads):
-        qh = slice_cols(q, h * dh, (h + 1) * dh)
-        kh = slice_cols(k, h * dh, (h + 1) * dh)
-        vh = slice_cols(v, h * dh, (h + 1) * dh)
-        if gated:
-            gamma = slice_cols(gates_all, h, h + 1) if seq.n_text > 0 else 1.0
-        else:
-            gamma = float(gammas[h])
-        prior = None if prior_gammas is None else float(prior_gammas[h])
-        heads.append(
-            _armf_single_head(qh, kh, vh, seq.n_image, seq.n_text, gamma, prior)
-        )
-    merged = heads[0] if len(heads) == 1 else concat_cols(heads)
-    return matmul(merged, proj.wo)
+        decay = build_armf_mask(n_image, seq.n_text,
+                                schedule.layer_values(layer_index))
+    weights = mixing_weights(q, k, n_image, decay,
+                             image_prior_gammas(cfg, schedule, layer_index))
+    if capture is not None:
+        text_decay = decay.data if isinstance(decay, Tensor) else decay
+        capture.append((weights.data, text_decay[:, n_image:]))
+    return matmul(merge_heads(bmatmul(weights, v)), proj.wo)
 
 
 def image_prior_gammas(cfg: ARMFHeadConfig, schedule, layer_index: int):

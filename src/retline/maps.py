@@ -3,8 +3,10 @@
 For a retention model each (layer, head) dump holds the decay-masked text
 scores (N_T x N_T) plus the decay matrix itself; for the attention twin it
 holds the joint softmax rows of the text queries over all keys (N_T x N),
-which sum to one. Every matrix is written as CSV and as an 8-bit PGM heatmap
-normalized to the matrix's own min/max range.
+which sum to one. Both are slices of the mixing weights and decay that the
+model's forward pass computed and captured, not a recomputation. Every matrix
+is written as CSV and as an 8-bit PGM heatmap normalized to the matrix's own
+min/max range.
 """
 
 from __future__ import annotations
@@ -14,58 +16,24 @@ import os
 import numpy as np
 
 from .data import write_pgm
-from .fusion import build_armf_mask
 from .model import Model
-from .retention import build_decay_gated
 from .tensor import Tensor
-
-
-def _per_head_matrices(model: Model, seq, layer_index: int) -> list:
-    cfg = model.config
-    layer = model.layers[layer_index]
-    x = seq.x.data
-    n_image, n_text = seq.n_image, seq.n_text
-    q = x @ layer.projections.wq.data
-    k = x @ layer.projections.wk.data
-    dh = cfg.d_head
-    gated = cfg.mixer == "retention" and cfg.gamma_strategy == "gated"
-    if gated:
-        z = x[n_image:] @ layer.gate_weights.data
-        gates = (1.0 / (1.0 + np.exp(-z))) ** (1.0 / cfg.tau)  # (n_text, H)
-    out = []
-    for h in range(cfg.heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        dots = (q[:, sl] @ k[:, sl].T) / np.sqrt(dh)
-        if cfg.mixer == "retention":
-            if gated:
-                decay = build_decay_gated(gates[:, h]).entries
-                gamma = None
-            else:
-                gamma = float(layer.layer_gammas(
-                    Tensor(x[n_image:n_image + 1]))[h])
-                decay = build_armf_mask(n_image, n_text, gamma).entries[n_image:]
-            scores = dots[n_image:, n_image:] * decay
-            out.append({"scores": scores, "decay": decay, "gamma": gamma})
-        else:
-            allow = np.zeros((n_image + n_text, n_image + n_text), dtype=bool)
-            allow[:, :n_image] = True
-            for r in range(n_text):
-                allow[n_image + r, n_image:n_image + r + 1] = True
-            masked = np.where(allow, dots, -np.inf)
-            z = masked - masked.max(axis=1, keepdims=True)
-            e = np.where(allow, np.exp(np.where(allow, z, 0.0)), 0.0)
-            attn = e / e.sum(axis=1, keepdims=True)
-            out.append({"scores": attn[n_image:], "decay": None, "gamma": None})
-    return out
 
 
 def collect_maps(model: Model, image: Tensor, input_ids) -> list:
     """Per-layer, per-head score (and decay) matrices for one sample."""
     captured: list = []
-    model.forward(image, input_ids, train=None, capture_inputs=captured)
-    return [
-        _per_head_matrices(model, seq, li) for li, seq in enumerate(captured)
-    ]
+    model.forward(image, input_ids, train=None, capture=captured)
+    n_text = np.asarray(input_ids).size
+    layers = []
+    for weights, decay in captured:
+        text_rows = weights[:, -n_text:]
+        if decay is None:
+            layers.append([{"scores": w, "decay": None} for w in text_rows])
+        else:
+            layers.append([{"scores": w[:, -n_text:], "decay": d}
+                           for w, d in zip(text_rows, decay)])
+    return layers
 
 
 def sub_diagonal_mass(matrix: np.ndarray) -> float:

@@ -28,12 +28,15 @@ from .fusion import (
     image_term,
     marmf_forward,
     marmf_recurrent_step,
+    merge_heads,
+    scaled_scores,
+    split_heads,
 )
-from .retention import GAMMA_STRATEGIES, GammaSchedule
+from .retention import GAMMA_STRATEGIES, GammaSchedule, gate_gammas
 from .tensor import (
     Tensor,
     add,
-    concat_cols,
+    bmatmul,
     concat_rows,
     dropout,
     embedding_rows,
@@ -45,13 +48,10 @@ from .tensor import (
     mul_const,
     permute,
     reshape,
-    scale,
     scale_rows,
-    slice_cols,
     slice_rows,
     softmax_rows,
     sum_all,
-    transpose,
     unfold,
 )
 
@@ -85,6 +85,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.vocab_size < 4:
             raise ValueError("vocabulary needs at least one character plus specials")
+        if self.heads < 1:
+            raise ValueError("heads must be at least 1")
         if self.d_model % self.heads != 0:
             raise ValueError("d_model must be divisible by the head count")
         if self.mixer not in MIXERS:
@@ -139,6 +141,14 @@ class TextBatch:
     tokens: Tensor  # (len, d_model) embeddings plus sinusoidal positions
 
 
+def attention_allow(n_image: int, n_text: int) -> np.ndarray:
+    """(N, N) keys each query of the attention mixer may see: every query the
+    image keys, a text query also the text keys up to its own position."""
+    allow = np.tri(n_image + n_text, dtype=bool)
+    allow[:, :n_image] = True
+    return allow
+
+
 def sinusoidal_positions(length: int, d_model: int, first: int = 0) -> np.ndarray:
     """PE(pos, 2i) = sin(pos / 10000^(2i/d)), PE(pos, 2i+1) = cos(same), from pos = first."""
     pos = np.arange(first, first + length)[:, None]
@@ -176,42 +186,28 @@ class DecoderLayer:
 
     # --- parallel (training) path
 
-    def forward(self, seq: FusionSequence, train: TrainContext | None) -> Tensor:
-        mixed = self._mix(seq)
+    def forward(self, seq: FusionSequence, train: TrainContext | None,
+                capture: list | None = None) -> Tensor:
+        if self.config.mixer == "retention":
+            mixed = marmf_forward(
+                seq, self.index, self.schedule, self.projections,
+                self.head_cfg, gate_weights=self.gate_weights, capture=capture,
+            )
+        else:
+            mixed = self._attention_mix(seq, capture)
         if train is not None:
             mixed = dropout(mixed, self.config.dropout_mix, train.rng)
         return self._post(seq.x, mixed, train)
 
-    def _mix(self, seq: FusionSequence) -> Tensor:
-        if self.config.mixer == "retention":
-            return marmf_forward(
-                seq, self.index, self.schedule, self.projections,
-                self.head_cfg, gate_weights=self.gate_weights,
-            )
-        return self._attention_mix(seq)
-
-    def _attention_mix(self, seq: FusionSequence) -> Tensor:
-        cfg = self.config
-        x, n_image = seq.x, seq.n_image
-        n = x.shape[0]
-        allow = np.zeros((n, n), dtype=bool)
-        allow[:, :n_image] = True
-        for r in range(seq.n_text):
-            allow[n_image + r, n_image:n_image + r + 1] = True
-        q = matmul(x, self.projections.wq)
-        k = matmul(x, self.projections.wk)
-        v = matmul(x, self.projections.wv)
-        dh = cfg.d_head
-        inv = 1.0 / np.sqrt(dh)
-        heads = []
-        for h in range(cfg.heads):
-            qh = slice_cols(q, h * dh, (h + 1) * dh)
-            kh = slice_cols(k, h * dh, (h + 1) * dh)
-            vh = slice_cols(v, h * dh, (h + 1) * dh)
-            attn = masked_softmax_rows(scale(matmul(qh, transpose(kh)), inv), allow)
-            heads.append(matmul(attn, vh))
-        merged = heads[0] if len(heads) == 1 else concat_cols(heads)
-        return matmul(merged, self.projections.wo)
+    def _attention_mix(self, seq: FusionSequence, capture: list | None) -> Tensor:
+        q, k, v = (split_heads(matmul(seq.x, w), self.config.heads)
+                   for w in (self.projections.wq, self.projections.wk,
+                             self.projections.wv))
+        weights = masked_softmax_rows(scaled_scores(q, k),
+                                      attention_allow(seq.n_image, seq.n_text))
+        if capture is not None:
+            capture.append((weights.data, None))
+        return matmul(merge_heads(bmatmul(weights, v)), self.projections.wo)
 
     def _post(self, x: Tensor, mixed: Tensor, train: TrainContext | None) -> Tensor:
         cfg = self.config
@@ -235,8 +231,8 @@ class DecoderLayer:
         or under the gated strategy one row per lane (lanes, H)."""
         cfg = self.config
         if cfg.gamma_strategy == "gated":
-            z = x.data @ self.gate_weights.data
-            return (1.0 / (1.0 + np.exp(-z))) ** (1.0 / cfg.tau)
+            z = Tensor._wrap(x.data @ self.gate_weights.data, False)
+            return gate_gammas(z, cfg.tau).data
         return self.schedule.layer_values(self.index)
 
     def step_recurrent(self, x: Tensor, state: np.ndarray, cache_entry: tuple):
@@ -423,8 +419,10 @@ class Model:
 
     def forward(self, image: Tensor, input_ids,
                 train: TrainContext | None = None,
-                capture_inputs: list | None = None) -> Tensor:
-        """Teacher-forced logits over the text positions, shape (N_T, vocab)."""
+                capture: list | None = None) -> Tensor:
+        """Teacher-forced logits over the text positions, shape (N_T, vocab).
+        A `capture` list receives, per layer, the (H, N, N) mixing weights
+        and the (H, N_T, N_T) text decay (None for the attention mixer)."""
         ids = np.asarray(input_ids, dtype=np.int64)
         if ids.size == 0:
             raise ValueError("training forward needs at least one text token")
@@ -433,10 +431,7 @@ class Model:
         x = concat_rows([img.tokens, txt.tokens])
         n_image, n_text = img.count, ids.size
         for layer in self.layers:
-            seq = FusionSequence(x, n_image, n_text)
-            if capture_inputs is not None:
-                capture_inputs.append(seq)
-            x = layer.forward(seq, train)
+            x = layer.forward(FusionSequence(x, n_image, n_text), train, capture)
         text_x = slice_rows(x, n_image, n_image + n_text)
         return add(matmul(text_x, self.params["head_w"]), self.params["head_b"])
 

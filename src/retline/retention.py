@@ -29,25 +29,28 @@ _LOG_HI = np.log(1.0 / 512.0)
 @dataclass(frozen=True)
 class DecayMatrix:
     """Pairwise decay weights; lower-triangular for causal kinds, symmetric
-    for the bidirectional kind. Entries all lie in [0, 1]."""
+    for the bidirectional kind. Entries all lie in [0, 1]. Built from one
+    gamma per head, the entries are an (H, n, n) stack."""
 
     n: int
     entries: np.ndarray
     kind: str  # causal | gated | bidirectional
 
     def __post_init__(self):
-        if self.entries.shape != (self.n, self.n):
+        if self.entries.shape[-2:] != (self.n, self.n):
             raise ValueError("decay entries must be n x n")
 
 
-def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
-    if not 0.0 < gamma < 1.0:
+def _check_gamma(gamma) -> np.ndarray:
+    """One gamma, or an (H,) vector of them, shaped to broadcast against an
+    (n, n) grid of exponents."""
+    gamma = np.asarray(gamma, dtype=np.float64)
+    if np.any(gamma <= 0.0) or np.any(gamma >= 1.0):
         raise ValueError(f"gamma must lie strictly inside (0, 1), got {gamma}")
-    return gamma
+    return gamma[..., None, None]
 
 
-def build_decay(n: int, gamma: float) -> DecayMatrix:
+def build_decay(n: int, gamma) -> DecayMatrix:
     """Causal decay: entry (i, j) = gamma^(i-j) for i >= j, zero above."""
     if n < 1:
         raise ValueError("sequence length must be at least 1")
@@ -60,24 +63,20 @@ def build_decay(n: int, gamma: float) -> DecayMatrix:
 
 def build_decay_gated(gammas) -> DecayMatrix:
     """Product-form decay from per-position gates: entry (i, j) multiplies the
-    gates of positions j+1 .. i. Gates are typically sigmoid(x W)^(1/tau)."""
+    gates of positions j+1 .. i, evaluated as exp(L_i - L_j) over the
+    cumulative log-gates L. Gates are typically sigmoid(x W)^(1/tau)."""
     g = np.asarray(gammas, dtype=np.float64)
     if g.ndim != 1 or g.size < 1:
         raise ValueError("gates must be a nonempty vector")
     if np.any(g <= 0.0) or np.any(g >= 1.0):
         raise ValueError("every gate must lie strictly inside (0, 1)")
-    n = g.size
-    entries = np.zeros((n, n))
-    for j in range(n):
-        entries[j, j] = 1.0
-        running = 1.0
-        for i in range(j + 1, n):
-            running *= g[i]
-            entries[i, j] = running
-    return DecayMatrix(n=n, entries=entries, kind="gated")
+    cum = np.cumsum(np.log(g))
+    tril = np.tril(np.ones((g.size, g.size)))
+    entries = np.exp((cum[:, None] - cum[None, :]) * tril) * tril
+    return DecayMatrix(n=g.size, entries=entries, kind="gated")
 
 
-def build_decay_bidirectional(n: int, gamma: float) -> DecayMatrix:
+def build_decay_bidirectional(n: int, gamma) -> DecayMatrix:
     """Symmetric decay over index distance: entry (i, j) = gamma^|i-j|."""
     if n < 1:
         raise ValueError("sequence length must be at least 1")
@@ -123,6 +122,8 @@ class GammaSchedule:
             raise ValueError("layers and heads must be at least 1")
         if not 0.0 < self.gamma_subtractor < 1.0:
             raise ValueError("gamma_subtractor must lie in (0, 1)")
+        if not self.tau > 0.0:
+            raise ValueError("gate temperature tau must be positive")
 
     def values(self) -> np.ndarray:
         """The (layers, heads) table, evaluated once per schedule; read-only."""

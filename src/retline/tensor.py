@@ -359,62 +359,53 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError("slice_rows expects a 2-D tensor")
-    out = Tensor._wrap(a.data[start:stop].copy(), False)
-    n = a.shape[0]
+    """Rows start..stop of a 2-D tensor, or of every matrix in a stack."""
+    if a.data.ndim < 2:
+        raise ValueError("slice_rows expects a tensor of at least 2 dimensions")
+    out = Tensor._wrap(a.data[..., start:stop, :].copy(), False)
 
     def grad_fn(g):
-        ga = np.zeros((n, a.shape[1]))
-        ga[start:stop] = g
+        ga = np.zeros(a.shape)
+        ga[..., start:stop, :] = g
         return (ga,)
 
     return _record(out, (a,), grad_fn)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError("slice_cols expects a 2-D tensor")
-    out = Tensor._wrap(a.data[:, start:stop].copy(), False)
+    """Columns start..stop of a 2-D tensor, or of every matrix in a stack."""
+    if a.data.ndim < 2:
+        raise ValueError("slice_cols expects a tensor of at least 2 dimensions")
+    out = Tensor._wrap(a.data[..., start:stop].copy(), False)
 
     def grad_fn(g):
         ga = np.zeros(a.shape)
-        ga[:, start:stop] = g
+        ga[..., start:stop] = g
         return (ga,)
 
     return _record(out, (a,), grad_fn)
 
 
-def concat_rows(parts: list) -> Tensor:
+def _concat(parts: list, axis: int, name: str) -> Tensor:
     if not parts:
-        raise ValueError("concat_rows needs at least one tensor")
-    out = Tensor._wrap(np.concatenate([p.data for p in parts], axis=0), False)
-    sizes = [p.shape[0] for p in parts]
+        raise ValueError(f"{name} needs at least one tensor")
+    out = Tensor._wrap(np.concatenate([p.data for p in parts], axis=axis), False)
+    splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
 
     def grad_fn(g):
-        grads, at = [], 0
-        for s in sizes:
-            grads.append(g[at:at + s])
-            at += s
-        return tuple(grads)
+        return tuple(np.split(g, splits, axis=axis))
 
     return _record(out, tuple(parts), grad_fn)
+
+
+def concat_rows(parts: list) -> Tensor:
+    """Concatenate along the rows (the second-to-last axis)."""
+    return _concat(parts, -2, "concat_rows")
 
 
 def concat_cols(parts: list) -> Tensor:
-    if not parts:
-        raise ValueError("concat_cols needs at least one tensor")
-    out = Tensor._wrap(np.concatenate([p.data for p in parts], axis=1), False)
-    sizes = [p.shape[1] for p in parts]
-
-    def grad_fn(g):
-        grads, at = [], 0
-        for s in sizes:
-            grads.append(g[:, at:at + s])
-            at += s
-        return tuple(grads)
-
-    return _record(out, tuple(parts), grad_fn)
+    """Concatenate along the columns (the last axis)."""
+    return _concat(parts, -1, "concat_cols")
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -450,16 +441,18 @@ def scale_rows(a: Tensor, weights) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax, stabilized by row-max subtraction."""
-    if x.data.ndim != 2 or x.shape[1] < 1:
-        raise ValueError("softmax_rows expects a 2-D tensor with at least one column")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax over the last axis, stabilized by row-max subtraction."""
+    if x.data.ndim < 2 or x.shape[-1] < 1:
+        raise ValueError(
+            "softmax_rows expects a tensor of at least 2 dimensions with at "
+            "least one column")
+    s = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     out = Tensor._wrap(s, False)
 
     def grad_fn(g):
-        dot = (g * s).sum(axis=1, keepdims=True)
+        dot = (g * s).sum(axis=-1, keepdims=True)
         return (s * (g - dot),)
 
     return _record(out, (x,), grad_fn)
@@ -467,20 +460,21 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def masked_softmax_rows(x: Tensor, allow) -> Tensor:
     """Row-wise softmax over the entries where `allow` is True; others get
-    probability exactly 0. Every row must allow at least one entry."""
+    probability exactly 0. `allow` broadcasts against x, so one mask serves
+    a whole stack. Every row must allow at least one entry."""
     allow = np.asarray(allow, dtype=bool)
-    if allow.shape != x.shape:
-        raise ValueError("mask shape must match tensor shape")
-    if not allow.any(axis=1).all():
+    if x.data.ndim < 2 or np.broadcast_shapes(allow.shape, x.shape) != x.shape:
+        raise ValueError("mask shape must broadcast to the tensor shape")
+    if not allow.any(axis=-1).all():
         raise ValueError("masked_softmax_rows: some row allows no entries")
     masked = np.where(allow, x.data, -np.inf)
-    z = masked - masked.max(axis=1, keepdims=True)
+    z = masked - masked.max(axis=-1, keepdims=True)
     e = np.where(allow, np.exp(np.where(allow, z, 0.0)), 0.0)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
     out = Tensor._wrap(s, False)
 
     def grad_fn(g):
-        dot = (g * s).sum(axis=1, keepdims=True)
+        dot = (g * s).sum(axis=-1, keepdims=True)
         return (s * (g - dot),)
 
     return _record(out, (x,), grad_fn)
@@ -550,17 +544,18 @@ def cumsum0(x: Tensor) -> Tensor:
 
 
 def normalize_rows(x: Tensor) -> Tensor:
-    """Divide each row by its sum; rows must sum to something positive."""
-    if x.data.ndim != 2:
-        raise ValueError("normalize_rows expects a 2-D tensor")
-    s = x.data.sum(axis=1, keepdims=True)
+    """Divide each row (last axis) by its sum; rows must sum to something
+    positive."""
+    if x.data.ndim < 2:
+        raise ValueError("normalize_rows expects a tensor of at least 2 dimensions")
+    s = x.data.sum(axis=-1, keepdims=True)
     if np.any(s <= 0):
         raise ValueError("normalize_rows: row sums must be positive")
     y = x.data / s
     out = Tensor._wrap(y, False)
 
     def grad_fn(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return ((g - dot) / s,)
 
     return _record(out, (x,), grad_fn)

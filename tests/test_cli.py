@@ -135,6 +135,22 @@ class TestSubcommands:
                      "--data", str(tmp_path / "nope.tsv")])
         assert code == 1
 
+    @pytest.mark.parametrize("edge", [
+        "heads=0\n",
+        "gamma_strategy=gated\ntau=0\n",
+        "gamma_strategy=gated\ntau=-2\n",
+    ], ids=["zero_heads", "zero_tau", "negative_tau"])
+    def test_config_edge_exits_1_without_traceback(self, tmp_path, capsys,
+                                                   edge):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("layers=1\nheads=2\nd_model=8\nd_ff=16\nmax_text_len=8\n"
+                       "chars=ab\n" + edge)
+        code = main(["--out-dir", str(tmp_path / "o"), "--config", str(cfg),
+                     "dump-maps"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_decode_auto_backend_for_attention_checkpoint(self, tmp_path):
         from retline.checkpoint import save_checkpoint
         from retline.model import Model, ModelConfig

@@ -2,8 +2,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from retline.fusion import (
+    IMAGE_PRIORS,
     ARMFHeadConfig,
     ARMFProjections,
     FusionSequence,
@@ -14,7 +17,12 @@ from retline.fusion import (
     marmf_forward,
     marmf_recurrent_step,
 )
-from retline.retention import GammaSchedule, RetentionState
+from retline.retention import (
+    GAMMA_STRATEGIES,
+    GammaSchedule,
+    RetentionState,
+    gate_gammas,
+)
 from retline.tensor import Tape, Tensor, backward, slice_rows, sum_all
 
 
@@ -61,15 +69,15 @@ class TestFusionSequence:
 
 class TestMask:
     def test_hand_values(self):
-        mask = build_armf_mask(2, 2, 0.5).entries
+        mask = build_armf_mask(2, 2, 0.5)
         np.testing.assert_array_equal(mask, [[0, 0], [0, 0], [1, 0], [0.5, 1]])
 
     def test_image_rows_all_zero(self):
-        mask = build_armf_mask(4, 6, 0.9).entries
+        mask = build_armf_mask(4, 6, 0.9)
         assert np.all(mask[:4] == 0)
 
     def test_text_diagonal_is_one(self):
-        mask = build_armf_mask(3, 5, 0.4).entries
+        mask = build_armf_mask(3, 5, 0.4)
         for r in range(5):
             assert mask[3 + r, r] == 1.0
 
@@ -143,7 +151,7 @@ class TestParallel:
         # if text rows were normalized, each full row sum would be 1 exactly;
         # check the decay-masked rows deviate for at least one text row
         dots = (x.data @ proj.wq.data) @ (x.data @ proj.wk.data).T / 2.0
-        mask = build_armf_mask(2, 4, 0.5).entries
+        mask = build_armf_mask(2, 4, 0.5)
         text_sums = (dots[:, 2:] * mask).sum(axis=1)[2:]
         assert np.any(np.abs(text_sums) > 1e-6)
 
@@ -407,3 +415,45 @@ class TestMultiHead:
         with pytest.raises(ValueError):
             marmf_forward(seq, 0, GammaSchedule("gated", 1, 2), proj,
                           ARMFHeadConfig(d_model=4, heads=2))
+
+
+class TestParallelRecurrentProperty:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("strategy, prior", [
+        (s, p) for s in GAMMA_STRATEGIES for p in IMAGE_PRIORS
+        if s != "gated" or p == "none"
+    ])
+    @given(
+        d_head=st.integers(1, 4),
+        n_image=st.integers(1, 8),
+        n_text=st.integers(1, 16),
+        layer_index=st.integers(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_text_rows_match_recurrent_steps(self, strategy, prior, heads,
+                                             d_head, n_image, n_text,
+                                             layer_index, seed):
+        # the image prior reweights image-query rows only, so text rows must
+        # still equal the recurrent steps under every prior
+        rng = np.random.default_rng(seed)
+        d = heads * d_head
+        proj = make_proj(d, rng)
+        sched = GammaSchedule(strategy, 2, heads)
+        cfg = ARMFHeadConfig(d_model=d, heads=heads, image_prior=prior)
+        w_gamma = (Tensor(rng.standard_normal((d, heads)))
+                   if strategy == "gated" else None)
+        x = rng.standard_normal((n_image + n_text, d))
+        par = marmf_forward(FusionSequence(Tensor(x), n_image, n_text),
+                            layer_index, sched, proj, cfg,
+                            gate_weights=w_gamma).data
+
+        cache = (x[:n_image] @ proj.wk.data, x[:n_image] @ proj.wv.data)
+        state = np.zeros((1, heads, d_head, d_head))  # one decode lane
+        for t in range(n_text):
+            x_n = Tensor(x[n_image + t:n_image + t + 1])
+            gammas = (gate_gammas(x_n @ w_gamma, sched.tau).data[0]
+                      if w_gamma is not None else sched.layer_values(layer_index))
+            row, state = marmf_recurrent_step(state, cache, x_n, proj, cfg,
+                                              gammas)
+            delta = np.max(np.abs(row.data[0] - par[n_image + t]))
+            assert delta <= 1e-10, (t, delta)

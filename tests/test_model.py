@@ -1,16 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from retline.checkpoint import load_checkpoint, save_checkpoint
 from retline.data import EOS_ID, PAD_ID, SOS_ID, Vocab, render_line, tokenize
+from retline.fusion import IMAGE_PRIORS
 from retline.model import (
     Model,
     ModelConfig,
     TrainContext,
+    attention_allow,
     sinusoidal_positions,
     teacher_pair,
     training_loss,
 )
+from retline.retention import GAMMA_STRATEGIES
 from retline.tensor import Tape, Tensor, backward, sum_all
 
 
@@ -33,6 +38,10 @@ class TestConfig:
     def test_head_divisibility_enforced(self):
         with pytest.raises(ValueError):
             tiny_config(d_model=15)
+
+    def test_zero_heads_rejected_before_the_modulo(self):
+        with pytest.raises(ValueError, match="heads"):
+            tiny_config(heads=0)
 
     def test_minimum_vocab(self):
         with pytest.raises(ValueError):
@@ -166,7 +175,80 @@ class TestForward:
         assert np.any(train_out != eval_a)
 
 
+def forward_backward_digest(**overrides) -> str:
+    """sha256 over the logits and every parameter gradient of one seeded
+    teacher-forced forward and backward pass."""
+    model = Model(tiny_config(**overrides), seed=3)
+    with Tape():
+        logits = model.forward(toy_image(36, seed=4), [SOS_ID, 3, 4, 5, 6])
+        backward(training_loss(logits, [3, 4, 5, 6, EOS_ID]))
+    digest = hashlib.sha256(logits.data.tobytes())
+    for name in sorted(model.params):
+        digest.update(model.params[name].grad.tobytes())
+    return digest.hexdigest()
+
+
+# captured before the head-batched mixer core replaced the per-head loops;
+# every mixer configuration must reproduce them bitwise
+PINNED_DIGESTS = {
+    ("original", "none"):
+        "77775a9e2f8ecec2eeb1d2d25bdbacd68edd742e2fef5b1981181909023a9d24",
+    ("original", "fixed"):
+        "8500133660ae5d4fa67cafd9fbf159a78f8d1b92044bf94457feb81ba17deb62",
+    ("original", "layerwise"):
+        "8500133660ae5d4fa67cafd9fbf159a78f8d1b92044bf94457feb81ba17deb62",
+    ("gated", "none"):
+        "4a6259afefb69eca09c74f0070e6445890c4ddb2477e6e7b53454ddeeaa93403",
+    ("small_gamma", "none"):
+        "cc29383b7c13fbab2c288bdd3d5c253c8bb428b5929d594c3266d0472a4ec96a",
+    ("small_gamma", "fixed"):
+        "12ec7ebc5576820a6db4b0efc7e6839fa4902328b27173c3c1f669721e3ccb3f",
+    ("small_gamma", "layerwise"):
+        "e056945f12b5c20b6d2a6d3b98fa2c61eb1a0461e6a92b75509029ff763d3b46",
+    ("headwise", "none"):
+        "c6fad6a9ba2cf24bf52b3f19633c8908e9f44bd46c31f2d9f516ffd89b4223a8",
+    ("headwise", "fixed"):
+        "ca102469adadcf6f6d87d27853dcfab0d7bb8d0da337edab5f43204e947b4999",
+    ("headwise", "layerwise"):
+        "7a3a712dafaf05efcbc54a8cb8c90341ce7bcfc97dfcfe89cac4ca6d8fcfdfda",
+    ("layerwise", "none"):
+        "2698e6be2d414f1162dc72b966b6fbcfbc1f794312df32ed681cebf42a408692",
+    ("layerwise", "fixed"):
+        "288bf8933eebf6cf346019444df17f3c3605d744079326af2dd2c6d8774008ab",
+    ("layerwise", "layerwise"):
+        "b3c09d048cd8d6c1d765238265ae48b41fe700d4c347cfaa5083ef31a7270952",
+    ("attention", "none"):
+        "767b89b47e7a298370c64570007b1053e65aebdc524c34a7db71ad8c3626e880",
+}
+
+
+class TestPinnedDigests:
+    @pytest.mark.parametrize("strategy, prior", [
+        (s, p) for s in GAMMA_STRATEGIES for p in IMAGE_PRIORS
+        if s != "gated" or p == "none"
+    ])
+    def test_retention_logits_and_gradients(self, strategy, prior):
+        digest = forward_backward_digest(gamma_strategy=strategy,
+                                         image_prior=prior)
+        assert digest == PINNED_DIGESTS[strategy, prior]
+
+    def test_attention_twin_logits_and_gradients(self):
+        digest = forward_backward_digest(mixer="attention")
+        assert digest == PINNED_DIGESTS["attention", "none"]
+
+
 class TestBaseline:
+    def test_allow_mask_matches_row_loop(self):
+        for n_image in (1, 2, 5):
+            for n_text in (0, 1, 2, 6):
+                n = n_image + n_text
+                expected = np.zeros((n, n), dtype=bool)
+                expected[:, :n_image] = True
+                for r in range(n_text):
+                    expected[n_image + r, n_image:n_image + r + 1] = True
+                np.testing.assert_array_equal(attention_allow(n_image, n_text),
+                                              expected)
+
     def test_attention_rows_sum_to_one(self):
         model = Model(tiny_config(mixer="attention"))
         img = toy_image()

@@ -165,6 +165,12 @@ class TestGammaSchedule:
         with pytest.raises(ValueError):
             GammaSchedule("softmax", 1, 1)
 
+    @pytest.mark.parametrize("tau", [0.0, -2.0])
+    def test_nonpositive_tau_rejected(self, tau):
+        # a negative tau would make every gate exceed 1, so the "decay" grows
+        with pytest.raises(ValueError, match="tau"):
+            GammaSchedule("gated", 1, 2, tau=tau)
+
 
 class TestPhases:
     def test_rotation_preserves_norm(self):
