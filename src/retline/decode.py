@@ -8,8 +8,17 @@ pruning reorders hypotheses and reallocating on every append; its per-step
 cost and footprint grow with decoded length. Either way the live lanes are
 stacked on a leading axis and advance together, one batched call per step.
 Both compute exactly the same next-token distributions for a retention
-model, which is what the cross-backend equivalence checks exploit. The attention twin only supports
-the kv backend (softmax over text history has no recurrent form).
+model, which is what the cross-backend equivalence checks exploit. The
+attention twin only supports the kv backend (softmax over text history has
+no recurrent form).
+
+A step runs on plain float64 arrays through the tensor module's forward
+kernels: it records no tape, whatever tape is active, and registers the same
+operation counts as the Tensor primitives. The recurrent backend advances
+each lane's state in place, which is safe because decode owns every state
+array: `fresh` allocates them and `reindex` gathers fresh copies. When beam
+pruning keeps every lane in its place, always so at beam 1, the gather is
+skipped.
 
 Stats rows record, per step: scalar multiply/add counts from the tensor
 instrumentation and the live state elements held by all lanes.
@@ -57,6 +66,8 @@ class RecurrentDecodeState:
         return sum(s.size for s in self.states)
 
     def reindex(self, parents) -> "RecurrentDecodeState":
+        """Gather every layer's states by parent index into fresh arrays, so
+        each lane owns the state a step advances in place."""
         parents = np.asarray(parents, dtype=np.intp)
         return RecurrentDecodeState(states=[s[parents] for s in self.states])
 
@@ -194,10 +205,11 @@ def beam_search(model: Model, image: Tensor, beam: int,
                 new_live.append(Hypothesis(tokens=live[lane].tokens + (tok,),
                                            score=score))
                 parents.append(lane)
-        if backend == "recurrent":
-            state = state.reindex(parents)
-        else:
+        if backend == "kv":
             state = kv_reindex(state, parents)
+        elif parents != list(range(len(live))):
+            # skipped when every lane stays in its place, as always at beam 1
+            state = state.reindex(parents)
         live = new_live
         stats.append({
             "step": step,

@@ -13,6 +13,11 @@ Every parallel pass runs one batched core over (H, n, d_head) head stacks:
 `mixing_weights` gives all heads' (H, N, N) weights for the multi-head
 forward and for `armf_parallel` (H = 1); the attention twin shares its
 `scaled_scores`, and the score maps read the weights the forward computed.
+
+Decode steps (`marmf_recurrent_step`, `armf_recurrent_step`) run on plain
+float64 arrays through the tensor module's forward kernels, so they record
+no tape and build no gradient closures, and they advance the retention
+states in place.
 """
 
 from __future__ import annotations
@@ -32,12 +37,14 @@ from .retention import (
 from .tensor import (
     Tensor,
     bmatmul,
+    bmatmul_fwd,
     concat_cols,
     concat_rows,
     cumsum0,
     exp,
     log,
     matmul,
+    matmul_fwd,
     mul,
     mul_const,
     normalize_rows,
@@ -46,6 +53,7 @@ from .tensor import (
     scale,
     slice_cols,
     slice_rows,
+    softmax_fwd,
     softmax_rows,
 )
 
@@ -95,6 +103,8 @@ class ARMFHeadConfig:
     image_prior: str = "none"
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ValueError("heads must be at least 1")
         if self.d_model % self.heads != 0:
             raise ValueError("d_model must be divisible by the head count")
         if self.image_prior not in IMAGE_PRIORS:
@@ -281,83 +291,77 @@ def armf_cache_image(x_img: Tensor, layers) -> ImageKVCache:
     return ImageKVCache(keys=tuple(keys), values=tuple(values))
 
 
-def bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Counted batched product of plain (n, m, k) and (n, k, p) arrays, for
-    decode steps, which record no tape."""
-    return bmatmul(Tensor._wrap(a, False), Tensor._wrap(b, False)).data
-
-
 def image_term(q: np.ndarray, k_img: np.ndarray, v_img: np.ndarray,
                heads: int) -> np.ndarray:
     """Per-head softmax of every lane's query row over the cached image keys,
     times the image values: (lanes, d) queries in, (lanes, d) head outputs
-    out."""
+    out. The cache keeps its (N_I, d) row layout; the head-major operands
+    are strided views of it."""
     lanes, d = q.shape
     n, dh = k_img.shape[0], d // heads
-    dots = bmm(q.reshape(lanes, heads, dh).transpose(1, 0, 2),
-               k_img.reshape(n, heads, dh).transpose(1, 2, 0))
-    weights = softmax_rows(Tensor._wrap(dots.reshape(-1, n) * (1.0 / np.sqrt(dh)),
-                                        False)).data
-    out = bmm(weights.reshape(heads, lanes, n),
-              v_img.reshape(n, heads, dh).transpose(1, 0, 2))
+    dots = bmatmul_fwd(q.reshape(lanes, heads, dh).transpose(1, 0, 2),
+                       k_img.reshape(n, heads, dh).transpose(1, 2, 0))
+    weights = softmax_fwd(dots.reshape(-1, n) * (1.0 / np.sqrt(dh)))
+    out = bmatmul_fwd(weights.reshape(heads, lanes, n),
+                      v_img.reshape(n, heads, dh).transpose(1, 0, 2))
     return out.transpose(1, 0, 2).reshape(lanes, d)
 
 
 def _fused_step(s, k_img, v_img, q, k, v, gammas):
     """Recurrent fusion for every lane and head at once. `s` holds the
-    (lanes, H, d_head, d_head) states before the step, q/k/v the (lanes, d)
-    projected rows, `gammas` one decay per head, shared (H,) or per lane
-    (lanes, H). Returns the (lanes, d) head outputs and the new states."""
+    (lanes, H, d_head, d_head) states, which this step advances in place
+    (s *= gamma; s += k^T v), q/k/v the (lanes, d) projected rows, `gammas`
+    one decay per head, shared (H,) or per lane (lanes, H). Returns the
+    (lanes, d) head outputs."""
     lanes, heads, dh, _ = s.shape
-    kv = bmm(k.reshape(-1, dh, 1), v.reshape(-1, 1, dh)).reshape(s.shape)
-    s_new = np.reshape(gammas, (-1, heads, 1, 1)) * s + kv
-    o_text = bmm((q * (1.0 / np.sqrt(dh))).reshape(-1, 1, dh),
-                 s_new.reshape(-1, dh, dh))
-    return o_text.reshape(lanes, -1) + image_term(q, k_img, v_img, heads), s_new
+    kv = bmatmul_fwd(k.reshape(-1, dh, 1), v.reshape(-1, 1, dh))
+    s *= np.reshape(gammas, (-1, heads, 1, 1))
+    s += kv.reshape(s.shape)
+    o_text = bmatmul_fwd((q * (1.0 / np.sqrt(dh))).reshape(-1, 1, dh),
+                         s.reshape(-1, dh, dh))
+    return o_text.reshape(lanes, -1) + image_term(q, k_img, v_img, heads)
 
 
 def armf_recurrent_step(
     state: RetentionState,
     k_img: np.ndarray,
     v_img: np.ndarray,
-    x_n: Tensor,
+    x_n: np.ndarray,
     proj: ARMFProjections,
     gamma: float,
-) -> tuple[Tensor, RetentionState]:
-    """Single-head recurrent fusion step over the full width.
+) -> tuple[np.ndarray, RetentionState]:
+    """Single-head recurrent fusion step over the full width, on a (1, d)
+    input row.
 
     The retention state absorbs the new key/value pair; the image term is one
     softmax over the cached image keys. The per-step cost depends on the image
-    length only, never on how many text steps came before.
+    length only, never on how many text steps came before. `state` is a
+    value: the step advances a copy of it.
     """
-    q = matmul(x_n, proj.wq)
-    k = matmul(x_n, proj.wk)
-    v = matmul(x_n, proj.wv)
-    out, s = _fused_step(state.s[None, None], k_img, v_img, q.data, k.data,
-                         v.data, gamma)
-    return Tensor._wrap(out, False), RetentionState(s=s[0, 0],
-                                                    step=state.step + 1)
+    s = state.s.copy()
+    out = _fused_step(s[None, None], k_img, v_img,
+                      *(matmul_fwd(x_n, w.data)
+                        for w in (proj.wq, proj.wk, proj.wv)), gamma)
+    return out, RetentionState(s=s, step=state.step + 1)
 
 
 def marmf_recurrent_step(
     state: np.ndarray,
     cache_layer: tuple,
-    x: Tensor,
+    x: np.ndarray,
     proj: ARMFProjections,
     cfg: ARMFHeadConfig,
     gammas,
-) -> tuple[Tensor, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head recurrent fusion step for a batch of decode lanes: `x`
     holds one (lanes, d) input row per lane and `state` their
-    (lanes, H, d_head, d_head) retention states. `gammas` holds one decay per
-    head, (H,), or per lane and head, (lanes, H), for data-dependent gates
-    already evaluated at this position. Returns the (lanes, d) output and the
-    new states."""
+    (lanes, H, d_head, d_head) retention states, which the step advances in
+    place. `gammas` holds one decay per head, (H,), or per lane and head,
+    (lanes, H), for data-dependent gates already evaluated at this position.
+    Returns the (lanes, d) output and the advanced states."""
     if state.shape[1:] != (cfg.heads, cfg.d_head, cfg.d_head):
         raise ValueError(f"state shape {state.shape} does not match the heads")
-    q = matmul(x, proj.wq)
-    k = matmul(x, proj.wk)
-    v = matmul(x, proj.wv)
-    merged, state = _fused_step(state, *cache_layer, q.data, k.data, v.data,
-                                gammas)
-    return matmul(Tensor._wrap(merged, False), proj.wo), state
+    merged = _fused_step(state, *cache_layer,
+                         *(matmul_fwd(x, w.data)
+                           for w in (proj.wq, proj.wk, proj.wv)), gammas)
+    return matmul_fwd(merged, proj.wo.data), state

@@ -24,7 +24,6 @@ from .fusion import (
     IMAGE_PRIORS,
     ImageKVCache,
     armf_cache_image,
-    bmm,
     image_term,
     marmf_forward,
     marmf_recurrent_step,
@@ -37,20 +36,25 @@ from .tensor import (
     Tensor,
     add,
     bmatmul,
+    bmatmul_fwd,
     concat_rows,
     dropout,
+    embedding_fwd,
     embedding_rows,
     gelu,
+    gelu_fwd,
     layer_norm,
+    layer_norm_fwd,
     log_softmax_rows,
     masked_softmax_rows,
     matmul,
+    matmul_fwd,
     mul_const,
     permute,
     reshape,
     scale_rows,
     slice_rows,
-    softmax_rows,
+    softmax_fwd,
     sum_all,
     unfold,
 )
@@ -87,6 +91,8 @@ class ModelConfig:
             raise ValueError("vocabulary needs at least one character plus specials")
         if self.heads < 1:
             raise ValueError("heads must be at least 1")
+        if self.d_model < 1 or self.d_ff < 1:
+            raise ValueError("d_model and d_ff must be at least 1")
         if self.d_model % self.heads != 0:
             raise ValueError("d_model must be divisible by the head count")
         if self.mixer not in MIXERS:
@@ -101,6 +107,8 @@ class ModelConfig:
             )
         if len(self.cnn_channels) != 3:
             raise ValueError("the image embedder has exactly three stages")
+        if min(self.cnn_channels) < 1:
+            raise ValueError("every image embedder stage needs a channel")
         if self.max_text_len < 3:
             raise ValueError("max_text_len must fit SOS, one token, and EOS")
 
@@ -224,27 +232,42 @@ class DecoderLayer:
         seq = FusionSequence(x_img, n_image=x_img.shape[0], n_text=0)
         return self.forward(seq, train=None)
 
-    # --- decode paths: one (lanes, d) row per live beam lane
+    # --- decode paths: one (lanes, d) array row per live beam lane, through
+    # the tensor forward kernels (no tape, no dropout)
 
-    def layer_gammas(self, x: Tensor) -> np.ndarray:
+    def layer_gammas(self, x: np.ndarray) -> np.ndarray:
         """Per-head decay factors for one decode step: the schedule row (H,),
         or under the gated strategy one row per lane (lanes, H)."""
         cfg = self.config
         if cfg.gamma_strategy == "gated":
-            z = Tensor._wrap(x.data @ self.gate_weights.data, False)
+            z = Tensor._wrap(x @ self.gate_weights.data, False)
             return gate_gammas(z, cfg.tau).data
         return self.schedule.layer_values(self.index)
 
-    def step_recurrent(self, x: Tensor, state: np.ndarray, cache_entry: tuple):
+    def _post_step(self, x: np.ndarray, mixed: np.ndarray) -> np.ndarray:
+        """`_post` for decode steps: residual, layer norm, feed-forward,
+        residual, layer norm."""
+        ln, pff = self.ln, self.pff
+        y = layer_norm_fwd(x + mixed, ln["ln1_gain"].data,
+                           ln["ln1_bias"].data)[0]
+        hidden = gelu_fwd(matmul_fwd(y, pff["pff_w1"].data)
+                          + pff["pff_b1"].data)[0]
+        ff = matmul_fwd(hidden, pff["pff_w2"].data) + pff["pff_b2"].data
+        return layer_norm_fwd(y + ff, ln["ln2_gain"].data,
+                              ln["ln2_bias"].data)[0]
+
+    def step_recurrent(self, x: np.ndarray, state: np.ndarray,
+                       cache_entry: tuple):
         """Recurrent step (retention mixer only) over the lanes'
-        (lanes, H, d_head, d_head) states; returns the output and new states."""
+        (lanes, H, d_head, d_head) states, which it advances in place;
+        returns the output and the states."""
         mixed, state = marmf_recurrent_step(
             state, cache_entry, x, self.projections, self.head_cfg,
             self.layer_gammas(x),
         )
-        return self._post(x, mixed, None), state
+        return self._post_step(x, mixed), state
 
-    def step_kv(self, x: Tensor, keys, values, cache_entry: tuple,
+    def step_kv(self, x: np.ndarray, keys, values, cache_entry: tuple,
                 gate_logs=None):
         """One step (either mixer) against the lanes' cached text history:
         (lanes, H, t, d_head) keys and values, None before the first step,
@@ -254,9 +277,10 @@ class DecoderLayer:
         cfg = self.config
         lanes, heads, dh = x.shape[0], cfg.heads, cfg.d_head
         k_img, v_img = cache_entry
-        q = matmul(x, self.projections.wq).data
-        k_new = matmul(x, self.projections.wk).data.reshape(lanes, heads, 1, dh)
-        v_new = matmul(x, self.projections.wv).data.reshape(lanes, heads, 1, dh)
+        proj = self.projections
+        q = matmul_fwd(x, proj.wq.data)
+        k_new = matmul_fwd(x, proj.wk.data).reshape(lanes, heads, 1, dh)
+        v_new = matmul_fwd(x, proj.wv.data).reshape(lanes, heads, 1, dh)
         if keys is not None:
             k_new = np.concatenate([keys, k_new], axis=2)
             v_new = np.concatenate([values, v_new], axis=2)
@@ -276,10 +300,11 @@ class DecoderLayer:
             else:
                 decay = gammas[:, None] ** np.arange(t - 1, -1, -1,
                                                      dtype=np.float64)
-            dots = bmm(q_rows, keys.reshape(-1, t, dh).transpose(0, 2, 1))
+            dots = bmatmul_fwd(q_rows, keys.reshape(-1, t, dh).transpose(0, 2, 1))
             decayed = (dots.reshape(lanes, heads, t) * inv) * decay
-            merged = (bmm(decayed.reshape(-1, 1, t), values.reshape(-1, t, dh))
-                      .reshape(lanes, -1) + image_term(q, k_img, v_img, heads))
+            merged = (bmatmul_fwd(decayed.reshape(-1, 1, t),
+                                  values.reshape(-1, t, dh)).reshape(lanes, -1)
+                      + image_term(q, k_img, v_img, heads))
         else:
             n = k_img.shape[0]
 
@@ -288,12 +313,12 @@ class DecoderLayer:
                 img = np.broadcast_to(img, (lanes, heads, n, dh))
                 return np.concatenate([img, text], axis=2).reshape(-1, n + t, dh)
 
-            dots = bmm(q_rows, with_image(k_img, keys).transpose(0, 2, 1))
-            attn = softmax_rows(Tensor._wrap(dots.reshape(-1, n + t) * inv, False))
-            merged = bmm(attn.data.reshape(-1, 1, n + t),
-                         with_image(v_img, values)).reshape(lanes, -1)
-        mixed = matmul(Tensor._wrap(merged, False), self.projections.wo)
-        return self._post(x, mixed, None), keys, values, gate_logs
+            dots = bmatmul_fwd(q_rows, with_image(k_img, keys).transpose(0, 2, 1))
+            attn = softmax_fwd(dots.reshape(-1, n + t) * inv)
+            merged = bmatmul_fwd(attn.reshape(-1, 1, n + t),
+                                 with_image(v_img, values)).reshape(lanes, -1)
+        mixed = matmul_fwd(merged, proj.wo.data)
+        return self._post_step(x, mixed), keys, values, gate_logs
 
 
 class Model:
@@ -409,11 +434,11 @@ class Model:
             tokens = dropout(tokens, self.config.dropout_embed, train.rng)
         return TextBatch(ids=ids, tokens=tokens)
 
-    def embed_text_step(self, token_ids, position: int) -> Tensor:
+    def embed_text_step(self, token_ids, position: int) -> np.ndarray:
         """One (lanes, d) row per lane's token, all at the same position."""
-        emb = embedding_rows(self.params["char_embed"], token_ids)
-        pe = sinusoidal_positions(1, self.config.d_model, first=position)[0]
-        return add(emb, Tensor._wrap(pe, False))
+        emb = embedding_fwd(self.params["char_embed"].data, token_ids)
+        return emb + sinusoidal_positions(1, self.config.d_model,
+                                          first=position)[0]
 
     # --- forward passes
 
@@ -439,9 +464,10 @@ class Model:
         """Per-layer image keys/values, computed once before decoding."""
         return armf_cache_image(self.embed_image(image).tokens, self.layers)
 
-    def head_logits(self, x: Tensor) -> np.ndarray:
+    def head_logits(self, x: np.ndarray) -> np.ndarray:
         """(lanes, vocab) logits for (lanes, d) rows."""
-        return add(matmul(x, self.params["head_w"]), self.params["head_b"]).data
+        return (matmul_fwd(x, self.params["head_w"].data)
+                + self.params["head_b"].data)
 
 
 def training_loss(logits: Tensor, targets, epsilon: float = 0.4) -> Tensor:

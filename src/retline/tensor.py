@@ -5,6 +5,12 @@ is built from the primitives here. Forward values are plain numpy arrays in
 double precision; gradients are computed by replaying a Tape in exact reverse
 execution order. Matmuls register their scalar multiply/add counts with any
 active OpCounter, which is what the cost model and decode statistics read.
+
+The forward math of the primitives a decode step needs (the counted
+products, layer norm, GELU, row softmax, the embedding gather) lives in
+plain-array kernels, the `*_fwd` functions. The Tensor primitives compute
+their forward through them, and decode steps, which never record a tape,
+call them directly.
 """
 
 from __future__ import annotations
@@ -72,6 +78,88 @@ def register_matmul_cost(m: int, k: int, p: int) -> None:
     for counter in _counter_stack():
         counter.mults += m * k * p
         counter.adds += m * p * (k - 1)
+
+
+# ---------------------------------------------------------------------------
+# forward kernels on plain arrays
+
+
+def matmul_fwd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2-D matrix product; registers m*k*p mults and m*p*(k-1) adds."""
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError("matmul expects 2-D tensors")
+    m, k = a.shape
+    k2, p = b.shape
+    if k != k2:
+        raise ValueError(f"matmul: inner extents differ, {a.shape} x {b.shape}")
+    register_matmul_cost(m, k, p)
+    return a @ b
+
+
+def bmatmul_fwd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched product of (n, m, k) and (n, k, p) stacks, slice by slice.
+    Registers the sum of the n per-slice matmul costs: n*m*k*p mults and
+    n*m*p*(k-1) adds."""
+    if a.ndim != 3 or b.ndim != 3:
+        raise ValueError("bmatmul expects 3-D tensors")
+    n, m, k = a.shape
+    n2, k2, p = b.shape
+    if n != n2 or k != k2:
+        raise ValueError(f"bmatmul: extents differ, {a.shape} x {b.shape}")
+    register_matmul_cost(n * m, k, p)
+    return np.matmul(a, b)
+
+
+def softmax_fwd(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax over the last axis, stabilized by row-max subtraction."""
+    if x.ndim < 2 or x.shape[-1] < 1:
+        raise ValueError(
+            "softmax_rows expects a tensor of at least 2 dimensions with at "
+            "least one column")
+    s = x - x.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def gelu_fwd(x: np.ndarray) -> tuple:
+    """Gaussian error linear unit, exact erf form: x * Phi(x). Returns the
+    output and Phi(x)."""
+    phi_cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * phi_cdf, phi_cdf
+
+
+def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                   eps: float = LAYERNORM_EPS) -> tuple:
+    """Normalize each trailing-dim vector to zero mean / unit variance, then
+    apply the affine gain and bias; eps sits inside the square root. Returns
+    the output, the normalized input and the inverse standard deviations."""
+    d = x.shape[-1] if x.ndim else 0
+    if d == 0:
+        raise ValueError("layer_norm: trailing extent must be nonzero")
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ValueError("layer_norm: gain/bias must have shape (d,)")
+    # sum / d is np.mean's own arithmetic (bitwise), without its dispatch
+    mu = x.sum(axis=-1, keepdims=True) / d
+    xc = x - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def embedding_fwd(table: np.ndarray, ids) -> np.ndarray:
+    """Rows of `table` gathered by a flat list of integer ids, as a copy."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 1:
+        raise ValueError("embedding_rows expects a flat id list")
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise ValueError("embedding id out of range")
+    return table[ids]
 
 
 class Tensor:
@@ -289,14 +377,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D matrix product; registers m*k*p mults and m*p*(k-1) adds."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D tensors")
-    m, k = a.shape
-    k2, p = b.shape
-    if k != k2:
-        raise ValueError(f"matmul: inner extents differ, {a.shape} x {b.shape}")
-    register_matmul_cost(m, k, p)
-    out = Tensor._wrap(a.data @ b.data, False)
+    out = Tensor._wrap(matmul_fwd(a.data, b.data), False)
 
     def grad_fn(g):
         ga = g @ b.data.T if a.requires_grad else None
@@ -307,17 +388,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def bmatmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched product of (n, m, k) and (n, k, p) stacks, slice by slice.
-    Registers the sum of the n per-slice matmul costs: n*m*k*p mults and
-    n*m*p*(k-1) adds."""
-    if a.data.ndim != 3 or b.data.ndim != 3:
-        raise ValueError("bmatmul expects 3-D tensors")
-    n, m, k = a.shape
-    n2, k2, p = b.shape
-    if n != n2 or k != k2:
-        raise ValueError(f"bmatmul: extents differ, {a.shape} x {b.shape}")
-    register_matmul_cost(n * m, k, p)
-    out = Tensor._wrap(np.matmul(a.data, b.data), False)
+    """Batched product of (n, m, k) and (n, k, p) stacks (see bmatmul_fwd)."""
+    out = Tensor._wrap(bmatmul_fwd(a.data, b.data), False)
 
     def grad_fn(g):
         ga = np.matmul(g, b.data.transpose(0, 2, 1)) if a.requires_grad else None
@@ -442,13 +514,7 @@ def scale_rows(a: Tensor, weights) -> Tensor:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, stabilized by row-max subtraction."""
-    if x.data.ndim < 2 or x.shape[-1] < 1:
-        raise ValueError(
-            "softmax_rows expects a tensor of at least 2 dimensions with at "
-            "least one column")
-    s = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    s = softmax_fwd(x.data)
     out = Tensor._wrap(s, False)
 
     def grad_fn(g):
@@ -494,14 +560,10 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     return _record(out, (x,), grad_fn)
 
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, exact erf form: x * Phi(x)."""
-    phi_cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = Tensor._wrap(x.data * phi_cdf, False)
+    y, phi_cdf = gelu_fwd(x.data)
+    out = Tensor._wrap(y, False)
 
     def grad_fn(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
@@ -588,17 +650,9 @@ def pow_const(x: Tensor, p: float) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS) -> Tensor:
     """Normalize each trailing-dim vector to zero mean / unit variance, then
     apply the affine gain and bias. eps sits inside the square root."""
-    d = x.shape[-1] if x.data.ndim else 0
-    if d == 0:
-        raise ValueError("layer_norm: trailing extent must be nonzero")
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ValueError("layer_norm: gain/bias must have shape (d,)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor._wrap(xhat * gain.data + bias.data, False)
+    y, xhat, inv = layer_norm_fwd(x.data, gain.data, bias.data, eps)
+    d = y.shape[-1]
+    out = Tensor._wrap(y, False)
 
     def grad_fn(g):
         gg = g * gain.data
@@ -617,11 +671,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS
 def embedding_rows(table: Tensor, ids) -> Tensor:
     """Gather rows of `table` by integer id."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ValueError("embedding_rows expects a flat id list")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ValueError("embedding id out of range")
-    out = Tensor._wrap(table.data[ids].copy(), False)
+    out = Tensor._wrap(embedding_fwd(table.data, ids), False)
 
     def grad_fn(g):
         gt = np.zeros(table.shape)

@@ -97,10 +97,10 @@ def check_armf_equivalence(seed: int = 0, trials: int = 100,
         gammas = sched.layer_values(layer_index)
         for t in range(n_text):
             row, state = marmf_recurrent_step(
-                state, (k_img, v_img), Tensor(x[n_image + t:n_image + t + 1]),
+                state, (k_img, v_img), x[n_image + t:n_image + t + 1],
                 proj, cfg, gammas,
             )
-            worst = max(worst, float(np.max(np.abs(row.data[0] - par[n_image + t]))))
+            worst = max(worst, float(np.max(np.abs(row[0] - par[n_image + t]))))
     return CheckResult(
         name="fusion parallel vs recurrent",
         passed=worst <= tolerance,

@@ -139,7 +139,11 @@ class TestSubcommands:
         "heads=0\n",
         "gamma_strategy=gated\ntau=0\n",
         "gamma_strategy=gated\ntau=-2\n",
-    ], ids=["zero_heads", "zero_tau", "negative_tau"])
+        "d_model=0\n",
+        "d_ff=0\n",
+        "cnn_channels=0,16,16\n",
+    ], ids=["zero_heads", "zero_tau", "negative_tau", "zero_d_model",
+            "zero_d_ff", "zero_cnn_channel"])
     def test_config_edge_exits_1_without_traceback(self, tmp_path, capsys,
                                                    edge):
         cfg = tmp_path / "run.cfg"

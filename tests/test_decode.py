@@ -1,6 +1,12 @@
+import hashlib
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from retline import decode
+from retline.checkpoint import load_checkpoint
 from retline.costmodel import memory_elements
 from retline.decode import (
     KVDecodeState,
@@ -10,11 +16,11 @@ from retline.decode import (
     kv_reindex,
     write_stats_csv,
 )
-from retline.data import EOS_ID, Vocab
+from retline.data import EOS_ID, SOS_ID, Vocab, render_line
 from retline.fusion import IMAGE_PRIORS
 from retline.model import Model, ModelConfig
 from retline.retention import GAMMA_STRATEGIES
-from retline.tensor import Tensor
+from retline.tensor import Tape, Tensor
 
 
 def small_model(mixer="retention", seed=1, vocab_size=8):
@@ -187,7 +193,7 @@ class TestBatchedLanes:
         (s, p) for s in GAMMA_STRATEGIES for p in IMAGE_PRIORS
         if s != "gated" or p == "none"  # gated decay rejects image priors
     ])
-    def test_backends_agree_at_beam_10(self, strategy, prior):
+    def test_backends_agree_at_beam_10(self, monkeypatch, strategy, prior):
         cfg = ModelConfig(
             vocab_size=8, max_text_len=12, layers=2, heads=2, d_model=16,
             d_ff=32, cnn_channels=(4, 8, 8), gamma_strategy=strategy,
@@ -196,26 +202,61 @@ class TestBatchedLanes:
         model = self.no_eos(Model(cfg, seed=4))
         for seed in range(2):
             img = toy_image(seed, width=20 + 8 * seed)
-            rec = beam_search(model, img, beam=10, max_len=8,
-                              backend="recurrent")
-            kv = beam_search(model, img, beam=10, max_len=8, backend="kv")
-            assert rec.tokens == kv.tokens, seed
-            assert abs(rec.score - kv.score) <= 1e-9
+            self.decode_both(monkeypatch, model, img, beam=10, max_len=8)
 
-    def test_long_decode_backends_agree(self):
-        # the published max_text_len, with gammas near 1 (original schedule)
+    @staticmethod
+    def recorder(backend, log):
+        """`backend`'s lane step, appending each step's logits, and whether
+        the states it leaves are finite, to `log`."""
+        step = getattr(decode, f"_lane_logits_{backend}")
+
+        def recording(model, state, cache, tokens, position):
+            logits = step(model, state, cache, tokens, position)
+            arrays = (state.states if backend == "recurrent"
+                      else state.keys + state.values)
+            log.append((logits, all(np.isfinite(a).all() for a in arrays)))
+            return logits
+
+        return recording
+
+    def decode_both(self, monkeypatch, model, img, **kwargs):
+        """Beam-search `img` on both backends; they must agree at every step,
+        not only in the returned hypothesis (with EOS masked, that is the
+        first step's EOS): the same logits within 1e-9, and finite states
+        throughout. Returns both results."""
+        logs = {"recurrent": [], "kv": []}
+        with monkeypatch.context() as patch:
+            for backend, log in logs.items():
+                patch.setattr(decode, f"_lane_logits_{backend}",
+                              self.recorder(backend, log))
+            rec = beam_search(model, img, backend="recurrent", **kwargs)
+            kv = beam_search(model, img, backend="kv", **kwargs)
+        assert rec.tokens == kv.tokens
+        assert abs(rec.score - kv.score) <= 1e-9
+        assert len(logs["recurrent"]) == len(logs["kv"]) == len(rec.stats)
+        for (a, finite_states), (b, finite_history) in zip(logs["recurrent"],
+                                                           logs["kv"]):
+            assert np.max(np.abs(a - b)) <= 1e-9
+            assert finite_states and finite_history
+        return rec, kv
+
+    # the published max_text_len, with gammas near 1: the original schedule,
+    # gates pushed toward 1 by a large temperature, and the layer-wise
+    # schedule, whose last layer equals the original one
+    @pytest.mark.parametrize("strategy,tau", [
+        ("original", 16.0), ("gated", 1000.0), ("layerwise", 16.0),
+    ])
+    @pytest.mark.parametrize("beam", [2, 10])
+    def test_long_decode_backends_agree(self, monkeypatch, strategy, tau,
+                                        beam):
         cfg = ModelConfig(
             vocab_size=8, max_text_len=95, layers=2, heads=2, d_model=16,
-            d_ff=32, cnn_channels=(4, 8, 8), gamma_strategy="original",
+            d_ff=32, cnn_channels=(4, 8, 8), gamma_strategy=strategy, tau=tau,
             dropout_mix=0.0, dropout_embed=0.0,
         )
         model = self.no_eos(Model(cfg, seed=6))
-        img = toy_image(7)
-        rec = beam_search(model, img, beam=2, backend="recurrent")
-        kv = beam_search(model, img, beam=2, backend="kv")
+        rec, kv = self.decode_both(monkeypatch, model, toy_image(7), beam=beam)
         assert len(rec.stats) == len(kv.stats) == 95
-        assert rec.tokens == kv.tokens
-        assert abs(rec.score - kv.score) <= 1e-9
 
 
 class TestStepwiseMatchesParallel:
@@ -264,6 +305,51 @@ class TestStepwiseMatchesParallel:
         assert np.max(np.abs(parallel - stepwise)) <= 1e-9, (mixer, backend)
 
 
+class TestStepRecordsNothing:
+    """Decode steps run on plain arrays: inside an active tape, with every
+    parameter requiring gradients, they record no node and give the same
+    logits bitwise."""
+
+    @staticmethod
+    def logits(model, cache, backend):
+        if backend == "recurrent":
+            state = decode.RecurrentDecodeState.fresh(model.config)
+            step = decode._lane_logits_recurrent
+        else:
+            state = KVDecodeState.fresh(model.config)
+            step = decode._lane_logits_kv
+        rows = [step(model, state, cache, [SOS_ID], 0)]
+        # two lanes from here on, both children of the first
+        state = (state.reindex([0, 0]) if backend == "recurrent"
+                 else kv_reindex(state, [0, 0]))
+        for position, tokens in enumerate(([3, 4], [5, 3], [4, 4]), 1):
+            rows.append(step(model, state, cache, tokens, position))
+        return rows
+
+    @pytest.mark.parametrize("mixer,strategy,backend", [
+        ("retention", "layerwise", "recurrent"),
+        ("retention", "layerwise", "kv"),
+        ("retention", "gated", "recurrent"),
+        ("retention", "gated", "kv"),
+        ("attention", "layerwise", "kv"),
+    ])
+    def test_no_node_and_same_logits(self, mixer, strategy, backend):
+        cfg = ModelConfig(
+            vocab_size=8, max_text_len=12, layers=2, heads=2, d_model=16,
+            d_ff=32, cnn_channels=(4, 8, 8), mixer=mixer,
+            gamma_strategy=strategy, dropout_mix=0.0, dropout_embed=0.0,
+        )
+        model = Model(cfg, seed=2)
+        assert all(p.requires_grad for p in model.params.values())
+        cache = model.build_image_cache(toy_image(6))
+        plain = self.logits(model, cache, backend)
+        with Tape() as tape:
+            taped = self.logits(model, cache, backend)
+        assert len(tape) == 0
+        for a, b in zip(plain, taped):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestKvReindex:
     def lanes(self):
         # one layer, three lanes of one head, t=3, d_head=2
@@ -292,3 +378,75 @@ class TestKvReindex:
     def test_out_of_range_parent_rejected(self):
         with pytest.raises(ValueError):
             kv_reindex(self.lanes(), [3])
+
+
+TOY_WEIGHTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                           "weights", "toy")
+
+
+def decode_digest(**overrides):
+    """sha256 over (tokens, score.hex(), stats) of beam-1 and beam-10 decodes
+    of one rendered line, on every backend the mixer supports, by the
+    committed trained toy weights under a config changed by `overrides`
+    (a gated model keeps its seeded gate weights)."""
+    toy = load_checkpoint(TOY_WEIGHTS)
+    model = Model(replace(toy.config, **overrides), seed=4)
+    for name, param in toy.params.items():
+        model.params[name].data[...] = param.data
+    backends = ("recurrent", "kv") if model.config.mixer == "retention" else ("kv",)
+    img = render_line("lkjihgfedcba", seed=1).image
+    digest = hashlib.sha256()
+    for beam in (1, 10):
+        for backend in backends:
+            out = beam_search(model, img, beam=beam, backend=backend)
+            digest.update(repr((out.tokens, out.score.hex(),
+                                out.stats)).encode())
+    return digest.hexdigest()
+
+
+# captured from the Tensor-based decode step that the array-level step
+# replaced; transcripts, scores and every stats row must reproduce bitwise
+PINNED_DECODE_DIGESTS = {
+    ("original", "none"):
+        "6923f2f9cd492ab29df48ec320677f012e5dac9ca2cbdf07d0f23da09d016304",
+    ("original", "fixed"):
+        "a5f281fd790e693197ccc1c2321ffd4e2f99fb2cecb3140527123082db99e728",
+    ("original", "layerwise"):
+        "a5f281fd790e693197ccc1c2321ffd4e2f99fb2cecb3140527123082db99e728",
+    ("gated", "none"):
+        "0b5e88217dc7eccee64edbde20beed737c82ca63b69b7f1b63c515793b967773",
+    ("small_gamma", "none"):
+        "ca57bd70895e041bf2053fd5e2936b6b139b3cff925b1d9fe23826f8ef724f3e",
+    ("small_gamma", "fixed"):
+        "fabf6c823655fc1eeb56dddb3bc69584c4a2505b6de6f2c0a72485509e2f3d93",
+    ("small_gamma", "layerwise"):
+        "b9748af95817cf7c1dd5db0451806e5cd0958230a5599109236d63ca8cfe8548",
+    ("headwise", "none"):
+        "348d543f1a8ca521f65ebbdc3741e95299510efc13452af0f75a9472287224f9",
+    ("headwise", "fixed"):
+        "174bed5c5f4cd556ed3b9c1b0a0080bb396f34e8a83512ee6b48111b72f13b87",
+    ("headwise", "layerwise"):
+        "bdd151649d340e82840792e1061518e28e8ec0209f4943639aa4eaa9b7c4fe21",
+    ("layerwise", "none"):
+        "51a335f45c506a59dea5f712a1d653e70e8c1ea441dcffafd1428ce56538a51c",
+    ("layerwise", "fixed"):
+        "b96485289fe0e4798db6358320406718de72b3b5ab42d8112019cb5a076ab074",
+    ("layerwise", "layerwise"):
+        "0105e995aa1902cf478aefe8f08149bba9655b588c7e2032d9138e5a51f70db0",
+    ("attention", "none"):
+        "c614493cca7a900fcf828e7aa1697e038334950300453daa69c745f6b9592d51",
+}
+
+
+class TestPinnedDecodeDigests:
+    @pytest.mark.parametrize("strategy, prior", [
+        (s, p) for s in GAMMA_STRATEGIES for p in IMAGE_PRIORS
+        if s != "gated" or p == "none"
+    ])
+    def test_retention_decodes(self, strategy, prior):
+        digest = decode_digest(gamma_strategy=strategy, image_prior=prior)
+        assert digest == PINNED_DECODE_DIGESTS[strategy, prior]
+
+    def test_attention_twin_decodes(self):
+        digest = decode_digest(mixer="attention")
+        assert digest == PINNED_DECODE_DIGESTS["attention", "none"]

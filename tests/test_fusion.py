@@ -183,15 +183,15 @@ class TestRecurrent:
         proj = make_proj(d, rng)
         k_img = rng.standard_normal((1, d))
         v_img = rng.standard_normal((1, d))
-        x = Tensor(rng.standard_normal((1, d)))
+        x = rng.standard_normal((1, d))
         out, _ = armf_recurrent_step(
             RetentionState.fresh(d), k_img, v_img, x, proj, 0.5
         )
-        q = x.data @ proj.wq.data
-        k = x.data @ proj.wk.data
-        v = x.data @ proj.wv.data
+        q = x @ proj.wq.data
+        k = x @ proj.wk.data
+        v = x @ proj.wv.data
         o_text = (q / np.sqrt(d)) @ (k.T @ v)
-        np.testing.assert_allclose(out.data, o_text + v_img, atol=1e-12)
+        np.testing.assert_allclose(out, o_text + v_img, atol=1e-12)
 
     def test_first_step_text_term(self):
         rng = np.random.default_rng(9)
@@ -199,19 +199,19 @@ class TestRecurrent:
         proj = make_proj(d, rng)
         k_img = rng.standard_normal((3, d))
         v_img = rng.standard_normal((3, d))
-        x = Tensor(rng.standard_normal((1, d)))
+        x = rng.standard_normal((1, d))
         out, state = armf_recurrent_step(
             RetentionState.fresh(d), k_img, v_img, x, proj, 0.9
         )
-        q = x.data @ proj.wq.data
-        k = x.data @ proj.wk.data
-        v = x.data @ proj.wv.data
+        q = x @ proj.wq.data
+        k = x @ proj.wk.data
+        v = x @ proj.wv.data
         np.testing.assert_allclose(state.s, k.T @ v, atol=1e-13)
         dots = q @ k_img.T / np.sqrt(d)
         e = np.exp(dots - dots.max())
         o_img = (e / e.sum()) @ v_img
         np.testing.assert_allclose(
-            out.data, (q / np.sqrt(d)) @ state.s + o_img, atol=1e-12
+            out, (q / np.sqrt(d)) @ state.s + o_img, atol=1e-12
         )
 
     def test_steps_reproduce_parallel_text_rows(self):
@@ -233,10 +233,10 @@ class TestRecurrent:
             worst = 0.0
             for t in range(n_text):
                 row, state = armf_recurrent_step(
-                    state, k_img, v_img, Tensor(x[n_image + t:n_image + t + 1]),
+                    state, k_img, v_img, x[n_image + t:n_image + t + 1],
                     proj, gamma,
                 )
-                worst = max(worst, np.max(np.abs(row.data[0] - par[n_image + t])))
+                worst = max(worst, np.max(np.abs(row[0] - par[n_image + t])))
             assert worst <= 1e-10, trial
 
 
@@ -256,7 +256,7 @@ class TestStepCosts:
             with count_ops(counter):
                 _, state = armf_recurrent_step(
                     state, k_img, v_img,
-                    Tensor(rng.standard_normal((1, d))), proj, 0.9,
+                    rng.standard_normal((1, d)), proj, 0.9,
                 )
             counts.add((counter.mults, counter.adds))
         assert len(counts) == 1
@@ -360,6 +360,10 @@ class TestMultiHead:
             marmf_forward(seq, 3, self.schedule(layers=2), proj,
                           ARMFHeadConfig(d_model=4, heads=2))
 
+    def test_zero_heads_rejected_before_the_modulo(self):
+        with pytest.raises(ValueError, match="heads"):
+            ARMFHeadConfig(d_model=4, heads=0)
+
     def test_recurrent_multi_head_matches_parallel(self):
         rng = np.random.default_rng(18)
         for heads in (1, 2, 4):
@@ -379,9 +383,9 @@ class TestMultiHead:
             for t in range(n_text):
                 row, state = marmf_recurrent_step(
                     state, (k_img, v_img),
-                    Tensor(x[n_image + t:n_image + t + 1]), proj, cfg, gammas,
+                    x[n_image + t:n_image + t + 1], proj, cfg, gammas,
                 )
-                delta = np.max(np.abs(row.data[0] - par[n_image + t]))
+                delta = np.max(np.abs(row[0] - par[n_image + t]))
                 assert delta <= 1e-10, (heads, t, delta)
 
     def test_gated_parallel_matches_recurrent(self):
@@ -404,9 +408,9 @@ class TestMultiHead:
             z = x_n @ w_gamma.data
             gammas = (1.0 / (1.0 + np.exp(-z))) ** (1.0 / 16.0)
             row, state = marmf_recurrent_step(
-                state, (k_img, v_img), Tensor(x_n), proj, cfg, gammas[0],
+                state, (k_img, v_img), x_n, proj, cfg, gammas[0],
             )
-            assert np.max(np.abs(row.data[0] - par[n_image + t])) <= 1e-10
+            assert np.max(np.abs(row[0] - par[n_image + t])) <= 1e-10
 
     def test_gated_requires_weights(self):
         rng = np.random.default_rng(20)
@@ -450,10 +454,10 @@ class TestParallelRecurrentProperty:
         cache = (x[:n_image] @ proj.wk.data, x[:n_image] @ proj.wv.data)
         state = np.zeros((1, heads, d_head, d_head))  # one decode lane
         for t in range(n_text):
-            x_n = Tensor(x[n_image + t:n_image + t + 1])
-            gammas = (gate_gammas(x_n @ w_gamma, sched.tau).data[0]
+            x_n = x[n_image + t:n_image + t + 1]
+            gammas = (gate_gammas(Tensor(x_n) @ w_gamma, sched.tau).data[0]
                       if w_gamma is not None else sched.layer_values(layer_index))
             row, state = marmf_recurrent_step(state, cache, x_n, proj, cfg,
                                               gammas)
-            delta = np.max(np.abs(row.data[0] - par[n_image + t]))
+            delta = np.max(np.abs(row[0] - par[n_image + t]))
             assert delta <= 1e-10, (t, delta)

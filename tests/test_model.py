@@ -119,7 +119,7 @@ class TestTextEmbedding:
         ids = [3, 4, 5, 6, 3]
         rows = model.embed_text(ids).tokens.data
         for pos, token in enumerate(ids):
-            step = model.embed_text_step([token], pos).data
+            step = model.embed_text_step([token], pos)
             np.testing.assert_array_equal(step[0], rows[pos])
 
     def test_bounded(self):
