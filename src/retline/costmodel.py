@@ -6,13 +6,14 @@ Closed forms:
     kv_cached    2*d*n + 2*(n-1)                 (one step against n cached keys)
     recurrent    2*d^2 + d - 1                   (one step against a d x d state)
 
-The instrumented twin executes the actual computation and counts every scalar
-multiply inside the two matrix-product stages (query-key scores and
-score-value mixing; key-value outer product and state readout for the
-recurrent form). Softmax exponentials and divisions are never counted, and
-addition counts follow the same per-stage accounting conventions the closed
-forms are derived under, so measured and closed-form counts agree as exact
-integers.
+The instrumented twin executes the actual computation, with its two
+matrix-product stages (query-key scores and score-value mixing; key-value
+outer product and state readout for the recurrent form) through
+`tensor.matmul_fwd`, and takes its multiply count from the tensor module's
+`count_ops` counter. Softmax exponentials and divisions are never counted.
+Addition counts are not the counter's: they follow the per-stage accounting
+conventions the closed forms are derived under, so measured and closed-form
+counts agree as exact integers.
 
 Memory counts are abstract element (stored float) counts per decoder layer:
 a recurrent decoder keeps B*d^2/H state elements regardless of decoded
@@ -25,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensor import OpCounter, count_ops, matmul_fwd, softmax_fwd
 
 FORMS = ("vanilla", "kv_cached", "recurrent")
 MEMORY_METHODS = ("recurrent", "kv_persistent", "kv_peak")
@@ -71,73 +74,45 @@ def flops_closed_form(form: str, n: int, d: int) -> CostReport:
     return CostReport(form=form, n=n, d=d, mults=mults, adds=adds)
 
 
-class _StageCounter:
-    __slots__ = ("mults", "adds")
-
-    def __init__(self):
-        self.mults = 0
-        self.adds = 0
-
-
-def _counted_product(a: np.ndarray, b: np.ndarray, counter: _StageCounter,
-                     stage_adds: int) -> np.ndarray:
-    """Multiply two matrices one scalar product at a time, counting each
-    multiply as it executes. Additions are registered per stage using the
-    accounting convention of the matching closed form."""
-    m, k = a.shape
-    k2, p = b.shape
-    assert k == k2
-    out = np.zeros((m, p))
-    mults = 0
-    for i in range(m):
-        for j in range(p):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-                mults += 1
-            out[i, j] = acc
-    counter.mults += mults
-    counter.adds += stage_adds
-    return out
-
-
-def _softmax(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def flops_instrumented(form: str, n: int, d: int, seed: int = 0) -> CostReport:
-    """Run the single-head computation for real and report measured counts."""
+    """Run the single-head computation for real and report measured counts.
+
+    Every product goes through `tensor.matmul_fwd` inside one `count_ops`
+    counter, whose multiplies are the reported `mults`; the products also
+    register with any enclosing counter. `adds` are summed per stage under
+    the closed forms' conventions, not the counter's m*p*(k-1) per product.
+    """
     _check_form(form)
     _check_dims(n, d)
     rng = np.random.default_rng(seed)
-    counter = _StageCounter()
-    if form == "vanilla":
-        q = rng.standard_normal((n, d))
-        k = rng.standard_normal((n, d))
-        v = rng.standard_normal((n, d))
-        scores = _counted_product(q, k.T, counter, stage_adds=n * n - 1)
-        scores = np.where(np.tril(np.ones((n, n))) > 0, scores / np.sqrt(d), -np.inf)
-        attn = _softmax(scores)
-        _counted_product(attn, v, counter, stage_adds=n * (d - 1))
-    elif form == "kv_cached":
-        # one decoding step: the new query against n cached keys/values
-        q = rng.standard_normal((1, d))
-        keys = rng.standard_normal((n, d))
-        values = rng.standard_normal((n, d))
-        scores = _counted_product(q, keys.T, counter, stage_adds=n - 1)
-        attn = _softmax(scores / np.sqrt(d))
-        _counted_product(attn, values, counter, stage_adds=n - 1)
-    else:
-        # one recurrent step: absorb k^T v into the state, then read it out
-        q = rng.standard_normal((1, d))
-        k = rng.standard_normal((1, d))
-        v = rng.standard_normal((1, d))
-        state = rng.standard_normal((d, d))
-        kv = _counted_product(k.T, v, counter, stage_adds=0)
-        state = 0.9 * state + kv
-        _counted_product(q, state, counter, stage_adds=d - 1)
-    return CostReport(form=form, n=n, d=d, mults=counter.mults, adds=counter.adds)
+    with count_ops(OpCounter()) as counter:
+        if form == "vanilla":
+            q = rng.standard_normal((n, d))
+            k = rng.standard_normal((n, d))
+            v = rng.standard_normal((n, d))
+            scores = matmul_fwd(q, k.T)
+            scores = np.where(np.tril(np.ones((n, n))) > 0, scores / np.sqrt(d),
+                              -np.inf)
+            matmul_fwd(softmax_fwd(scores), v)
+            adds = (n * n - 1) + n * (d - 1)  # per stage: scores, mixing
+        elif form == "kv_cached":
+            # one decoding step: the new query against n cached keys/values
+            q = rng.standard_normal((1, d))
+            keys = rng.standard_normal((n, d))
+            values = rng.standard_normal((n, d))
+            scores = matmul_fwd(q, keys.T)
+            matmul_fwd(softmax_fwd(scores / np.sqrt(d)), values)
+            adds = (n - 1) + (n - 1)  # per stage: scores, mixing
+        else:
+            # one recurrent step: absorb k^T v into the state, then read it out
+            q = rng.standard_normal((1, d))
+            k = rng.standard_normal((1, d))
+            v = rng.standard_normal((1, d))
+            state = rng.standard_normal((d, d))
+            state = 0.9 * state + matmul_fwd(k.T, v)
+            matmul_fwd(q, state)
+            adds = d - 1  # the outer product adds nothing; the readout d - 1
+    return CostReport(form=form, n=n, d=d, mults=counter.mults, adds=adds)
 
 
 def memory_elements(method: str, beam: int, decoded: int, d: int, heads: int) -> int:
@@ -194,6 +169,8 @@ def sweep_rows(ns, ds, beams, decodeds, heads_list) -> list:
     beams, decodeds, heads_list = list(beams), list(decodeds), list(heads_list)
     if not all((ns, ds, beams, decodeds, heads_list)):
         raise ValueError("sweep ranges must be nonempty")
+    if min(heads_list) < 1:
+        raise ValueError("head counts must be at least 1")
     for d in ds:
         for h in heads_list:
             if d % h != 0:

@@ -39,16 +39,6 @@ BACKENDS = ("recurrent", "kv")
 STATS_COLUMNS = ("step", "backend", "beam", "mults", "adds", "live_elements")
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    """One partial transcript: generated character ids (no specials), the
-    cumulative log-probability, and whether EOS has been emitted."""
-
-    tokens: tuple
-    score: float
-    finished: bool = False
-
-
 @dataclass
 class RecurrentDecodeState:
     """Retention states of every live lane: one (lanes, H, d_head, d_head)
@@ -150,10 +140,13 @@ def beam_search(model: Model, image: Tensor, beam: int,
     """Length-unnormalized beam search.
 
     Candidates are ranked by cumulative log-probability with deterministic
-    tie-breaking (higher score, then parent order, then smaller token id).
-    Finished hypotheses are held aside and their freed slots refill from the
-    candidate pool; search stops at max_len or once no live hypothesis can
-    still beat the best finished one. Each step advances every live lane in
+    tie-breaking (higher score, then parent order, then smaller token id):
+    the next live lanes are the first `beam` entries of one stable argsort of
+    the negated non-EOS candidate scores, flattened parent-major. EOS
+    candidates leave the beam, so their slots refill from the pool; only the
+    best finished hypothesis is kept (higher score, then shorter, then the
+    lexicographically smallest tokens). Search stops at max_len or once no
+    live hypothesis can still beat it. Each step advances every live lane in
     one batched call.
     """
     if beam < 1:
@@ -164,53 +157,56 @@ def beam_search(model: Model, image: Tensor, beam: int,
         raise ValueError("the attention mixer has no recurrent decode form")
     if max_len is None:
         max_len = model.config.max_text_len
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     cache = model.build_image_cache(image)
 
     if backend == "recurrent":
         state = RecurrentDecodeState.fresh(model.config)
     else:
         state = KVDecodeState.fresh(model.config)
-    live = [Hypothesis(tokens=(), score=0.0)]
-    finished: list[Hypothesis] = []
+    # the live lanes: cumulative scores, token histories, last tokens
+    scores = np.zeros(1)
+    histories = [()]
+    tokens = np.array([SOS_ID])
+    best_score, best_tokens = -np.inf, ()  # the best finished hypothesis
     stats = []
 
-    # every token id except the specials PAD and SOS may be emitted
-    candidate_ids = np.array([i for i in range(model.config.vocab_size)
-                              if i not in (PAD_ID, SOS_ID)])
+    # every token id except the specials PAD, SOS and EOS may extend a lane
+    ids = np.arange(model.config.vocab_size)
+    candidate_ids = ids[(ids != PAD_ID) & (ids != SOS_ID) & (ids != EOS_ID)]
 
     for step in range(1, max_len + 1):
         counter = OpCounter()
-        tokens = [hyp.tokens[-1] if hyp.tokens else SOS_ID for hyp in live]
         with count_ops(counter):
             if backend == "recurrent":
                 logits = _lane_logits_recurrent(model, state, cache, tokens,
                                                 step - 1)
             else:
                 logits = _lane_logits_kv(model, state, cache, tokens, step - 1)
-        scores = (np.array([hyp.score for hyp in live])[:, None]
-                  + _log_softmax(logits)[:, candidate_ids])
+        log_probs = _log_softmax(logits)
+        eos_scores = scores + log_probs[:, EOS_ID]
+        top = eos_scores.max()
+        if top > best_score:
+            # EOS candidates all have this step's length: ties go to the
+            # smallest tokens, and to a shorter earlier hypothesis
+            best_score = float(top)
+            best_tokens = min(histories[lane]
+                              for lane in np.flatnonzero(eos_scores == top))
+        scores = scores[:, None] + log_probs[:, candidate_ids]
         # higher score first; ties toward earlier parent, then smaller id
         # (the flattened order is parent-major, and the sort is stable)
-        order = np.argsort(-scores, axis=None, kind="stable")
-        lanes, cols = np.divmod(order, candidate_ids.size)
-
-        new_live, parents = [], []
-        for score, lane, tok in zip(scores.ravel()[order].tolist(),
-                                    lanes.tolist(),
-                                    candidate_ids[cols].tolist()):
-            if tok == EOS_ID:
-                finished.append(Hypothesis(tokens=live[lane].tokens, score=score,
-                                           finished=True))
-            elif len(new_live) < beam:
-                new_live.append(Hypothesis(tokens=live[lane].tokens + (tok,),
-                                           score=score))
-                parents.append(lane)
+        order = np.argsort(-scores, axis=None, kind="stable")[:beam]
+        parents, cols = np.divmod(order, candidate_ids.size)
         if backend == "kv":
             state = kv_reindex(state, parents)
-        elif parents != list(range(len(live))):
+        elif not np.array_equal(parents, np.arange(len(histories))):
             # skipped when every lane stays in its place, as always at beam 1
             state = state.reindex(parents)
-        live = new_live
+        scores = scores.ravel()[order]
+        tokens = candidate_ids[cols]
+        histories = [histories[p] + (t,)
+                     for p, t in zip(parents.tolist(), tokens.tolist())]
         stats.append({
             "step": step,
             "backend": backend,
@@ -219,20 +215,12 @@ def beam_search(model: Model, image: Tensor, beam: int,
             "adds": counter.adds,
             "live_elements": state.live_elements(),
         })
-        if not live:
-            break
-        best_finished = max((h.score for h in finished), default=-np.inf)
-        if best_finished >= live[0].score:
+        if best_score >= scores[0]:
             break
 
-    if finished:
-        # ties: higher score, then shorter, then lexicographically smallest
-        best = min(finished,
-                   key=lambda h: (-h.score, len(h.tokens), h.tokens))
-    else:
-        best = live[0]
-    return DecodeResult(tokens=best.tokens, score=best.score,
-                        finished=best.finished, stats=tuple(stats))
+    # every step finishes its lanes' EOS candidates, so one always exists
+    return DecodeResult(tokens=best_tokens, score=best_score, finished=True,
+                        stats=tuple(stats))
 
 
 def greedy_decode(model: Model, image: Tensor,

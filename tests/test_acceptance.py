@@ -63,6 +63,7 @@ class TestCriteria:
         result = check_gamma_schedules(tolerance=1e-12)
         report("5", result.passed, result.detail)
 
+    @pytest.mark.slow
     def test_06_gradient_correctness(self):
         t0 = time.perf_counter()
         worst, worst_name, tolerance = gradient_check_model(SEED)
@@ -133,12 +134,14 @@ def trained_retention(toy_dataset):
 
 
 class TestCriterion9:
+    @pytest.mark.slow
     def test_09a_retention_reaches_target(self, trained_retention):
         cer, cpu_used = trained_retention
         report("9a", cer <= 0.02 and cpu_used < CPU_BUDGET_SECONDS,
                f"retention held-out CER {cer:.4f} (<= 0.02) in "
                f"{cpu_used / 60:.1f} CPU-min (< 30)")
 
+    @pytest.mark.slow
     def test_09b_baseline_matches_within_band(self, toy_dataset,
                                               trained_retention):
         retention_cer, _ = trained_retention

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -68,6 +69,27 @@ class TestSubcommands:
         assert "1,443,840" in note
         assert "2,887,680" in note
         assert "discrepancy" in note
+
+    # captured from the scalar-loop cost model that the counted products
+    # replaced; the default sweeps must reproduce byte for byte
+    @pytest.mark.parametrize("command, name, digest", [
+        ("bench-memory", "memory.csv",
+         "a439a95371c60dd615057d74d6bbf35d9e47a38dbc8e862886b24f549b298fd5"),
+        ("bench-flops", "flops.csv",
+         "22b5b189bf68b5b5d6f7a107b261b67fc8fccdae567f59af7e8c7ca776382d04"),
+    ])
+    def test_default_sweep_csv_pinned(self, tmp_path, command, name, digest):
+        assert main(["--out-dir", str(tmp_path), command]) == 0
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("command", ["bench-memory", "bench-flops"])
+    def test_sweep_zero_heads_exits_1_without_traceback(self, tmp_path, capsys,
+                                                        command):
+        code = main(["--out-dir", str(tmp_path), command, "--heads", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_gen_data_reproducible(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -9,6 +9,7 @@ from retline.costmodel import (
     sweep_rows,
     write_sweep_csv,
 )
+from retline.tensor import OpCounter, count_ops
 
 
 class TestClosedForm:
@@ -52,6 +53,12 @@ class TestInstrumented:
                     closed = flops_closed_form(form, n, d)
                     assert inst.mults == closed.mults, (form, n, d)
                     assert inst.adds == closed.adds, (form, n, d)
+
+    @pytest.mark.parametrize("form", ["vanilla", "kv_cached", "recurrent"])
+    def test_enclosing_counter_records_the_reported_mults(self, form):
+        with count_ops(OpCounter()) as counter:
+            report = flops_instrumented(form, 5, 6)
+        assert counter.mults == report.mults
 
     def test_recurrent_constant_per_step(self):
         counts = {flops_instrumented("recurrent", n, 8).total for n in range(1, 17)}
@@ -119,6 +126,10 @@ class TestSweep:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             sweep_rows([], [2], [1], [1], [1])
+
+    def test_zero_heads_rejected(self):
+        with pytest.raises(ValueError, match="head counts"):
+            sweep_rows([1], [8], [1], [1], [4, 0])
 
     def test_csv_roundtrip(self, tmp_path):
         rows = sweep_rows([1, 2], [2], [1], [1], [1])

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retline import decode
 from retline.checkpoint import load_checkpoint
@@ -16,7 +18,7 @@ from retline.decode import (
     kv_reindex,
     write_stats_csv,
 )
-from retline.data import EOS_ID, SOS_ID, Vocab, render_line
+from retline.data import EOS_ID, PAD_ID, SOS_ID, Vocab, render_line
 from retline.fusion import IMAGE_PRIORS
 from retline.model import Model, ModelConfig
 from retline.retention import GAMMA_STRATEGIES
@@ -66,6 +68,11 @@ class TestBeam:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             beam_search(small_model(), toy_image(), beam=1, backend="paged")
+
+    @pytest.mark.parametrize("max_len", [0, -5])
+    def test_max_len_below_one_rejected(self, max_len):
+        with pytest.raises(ValueError, match="max_len"):
+            beam_search(small_model(), toy_image(), beam=2, max_len=max_len)
 
     def test_backends_agree(self):
         model = small_model(seed=7)
@@ -161,6 +168,97 @@ class TestBeam:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,backend,beam,mults,adds,live_elements"
         assert len(lines) == len(out.stats) + 1
+
+
+def loop_beam_search(step_logits, vocab_size, beam, max_len):
+    """The per-candidate selection loop that `beam_search` replaced, with
+    the lane step replaced by `step_logits(last_tokens, position)`: every
+    EOS candidate joins a finished list, and non-EOS candidates fill the
+    beam in sorted order. Returns (tokens, score, finished, steps)."""
+    live = [((), 0.0)]  # (tokens, score) per lane
+    finished = []
+    candidate_ids = np.array([i for i in range(vocab_size)
+                              if i not in (PAD_ID, SOS_ID)])
+    steps = 0
+    for step in range(1, max_len + 1):
+        logits = step_logits([t[-1] if t else SOS_ID for t, _ in live],
+                             step - 1)
+        scores = (np.array([score for _, score in live])[:, None]
+                  + decode._log_softmax(logits)[:, candidate_ids])
+        order = np.argsort(-scores, axis=None, kind="stable")
+        lanes, cols = np.divmod(order, candidate_ids.size)
+        new_live = []
+        for score, lane, tok in zip(scores.ravel()[order].tolist(),
+                                    lanes.tolist(),
+                                    candidate_ids[cols].tolist()):
+            if tok == EOS_ID:
+                finished.append((live[lane][0], score))
+            elif len(new_live) < beam:
+                new_live.append((live[lane][0] + (tok,), score))
+        live = new_live
+        steps += 1
+        if not live:
+            break
+        best_finished = max((score for _, score in finished), default=-np.inf)
+        if best_finished >= live[0][1]:
+            break
+    if finished:
+        tokens, score = min(finished, key=lambda h: (-h[1], len(h[0]), h[0]))
+        return tokens, score, True, steps
+    return live[0][0], live[0][1], False, steps
+
+
+class TestSelectionMatchesLoop:
+    """Array candidate selection equals the per-candidate loop bitwise on
+    scripted logits: a few rows of values quantized to a few levels, so that
+    exact score ties, EOS ties included, are common. At the coarse level
+    step, exp underflows below the row maximum, so log-probabilities are
+    exact integers (0 for a unique maximum) and ties also span steps."""
+
+    # a tie that decides an outcome turns up in a few percent of examples
+    @settings(max_examples=300)
+    @given(
+        beam=st.integers(1, 12),
+        vocab_size=st.integers(4, 9),
+        max_len=st.integers(1, 12),
+        rows=st.integers(1, 3),
+        level=st.sampled_from([0.5, 1000.0]),
+        eos_levels=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scripted_logits(self, beam, vocab_size, max_len, rows, level,
+                             eos_levels, seed):
+        rng = np.random.default_rng(seed)
+        # `rows` distinct logit rows, one picked for each (position, last
+        # token); more EOS levels let EOS win earlier and stop the search
+        pool = rng.integers(0, 3, (rows, vocab_size)) * level
+        pool[:, EOS_ID] = rng.integers(0, eos_levels, rows) * level
+        table = pool[rng.integers(0, rows, (max_len, vocab_size))]
+
+        fed = []  # the live lanes' last tokens at every step, in lane order
+
+        def step_logits(tokens, position):
+            fed.append([int(t) for t in tokens])
+            return table[position][np.asarray(tokens)]
+
+        def scripted(model, state, cache, tokens, position):
+            # one zero state per lane, so reindexing sees the lane count
+            state.states = [np.zeros((len(tokens),) + s.shape[1:])
+                            for s in state.states]
+            return step_logits(tokens, position)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decode, "_lane_logits_recurrent", scripted)
+            out = beam_search(small_model(vocab_size=vocab_size), toy_image(),
+                              beam=beam, max_len=max_len)
+        array_fed, fed[:] = fed[:], []
+        tokens, score, finished, steps = loop_beam_search(
+            step_logits, vocab_size, beam, max_len)
+        assert array_fed == fed
+        assert out.tokens == tokens
+        assert out.score.hex() == score.hex()
+        assert out.finished == finished
+        assert len(out.stats) == steps
 
 
 class TestBatchedLanes:
