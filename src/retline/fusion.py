@@ -14,10 +14,10 @@ Every parallel pass runs one batched core over (H, n, d_head) head stacks:
 forward and for `armf_parallel` (H = 1); the attention twin shares its
 `scaled_scores`, and the score maps read the weights the forward computed.
 
-Decode steps (`marmf_recurrent_step`, `armf_recurrent_step`) run on plain
-float64 arrays through the tensor module's forward kernels, so they record
-no tape and build no gradient closures, and they advance the retention
-states in place.
+Decode runs on plain float64 arrays through the tensor module's forward
+kernels, recording no tape and building no gradient closures: the image cache
+(`armf_cache_image`, over each layer's image-only pass `image_mix`) and the
+recurrent step (`marmf_recurrent_step`), which advances the states in place.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 
 from .retention import (
     GammaSchedule,
-    RetentionState,
     build_decay,
     build_decay_bidirectional,
     gamma_schedule,
@@ -266,43 +265,63 @@ class ImageKVCache:
     keys: tuple
     values: tuple
 
-    @property
-    def layers(self) -> int:
-        return len(self.keys)
-
     def layer(self, index: int) -> tuple:
         return self.keys[index], self.values[index]
 
 
-def armf_cache_image(x_img: Tensor, layers) -> ImageKVCache:
-    """Project the image tokens through every layer's K/V weights.
-
-    Each element of `layers` exposes `.projections` and, except for the last,
-    `.advance_image(x) -> x_next` carrying the image rows through the rest of
-    the layer (fusion output, residuals, feed-forward) to feed the next one.
-    """
+def armf_cache_image(x_img: np.ndarray, layers) -> ImageKVCache:
+    """Project the (N_I, d) image token rows through every layer's K/V
+    weights, on plain arrays. Each element of `layers` exposes `.projections`
+    and, except for the last, `.advance_image(x) -> x_next`, which carries the
+    image rows through the rest of the layer to feed the next one."""
     keys, values = [], []
     x = x_img
     for i, layer in enumerate(layers):
-        keys.append(matmul(x, layer.projections.wk).data.copy())
-        values.append(matmul(x, layer.projections.wv).data.copy())
+        keys.append(matmul_fwd(x, layer.projections.wk.data))
+        values.append(matmul_fwd(x, layer.projections.wv.data))
         if i + 1 < len(layers):
             x = layer.advance_image(x)
     return ImageKVCache(keys=tuple(keys), values=tuple(values))
 
 
+def softmax_mix(q: np.ndarray, k_t: np.ndarray, v: np.ndarray,
+                prior_gamma=None) -> np.ndarray:
+    """Softmax attention on plain arrays: (b, m, d_head) queries against
+    (b, d_head, n) keys, the row softmax of the scaled scores (for m == n
+    reweighted by the bidirectional prior of one gamma per batch entry and
+    renormalized, if given) times the (b, n, d_head) values."""
+    weights = softmax_fwd(bmatmul_fwd(q, k_t) * (1.0 / np.sqrt(q.shape[2])))
+    if prior_gamma is not None:
+        weights *= build_decay_bidirectional(v.shape[1], prior_gamma).entries
+        weights /= weights.sum(axis=-1, keepdims=True)
+    return bmatmul_fwd(weights, v)
+
+
+def image_mix(x: np.ndarray, proj: ARMFProjections, heads: int,
+              prior_gamma=None) -> np.ndarray:
+    """Mixer output of an image-only sequence on plain (N_I, d) rows: every
+    head's `softmax_mix` (under the bidirectional prior of one gamma per head,
+    if given) through `wo`. The head stacks are contiguous copies, as in the
+    parallel pass, so the rows are bitwise `marmf_forward`'s at N_T = 0."""
+    n, d = x.shape
+    q, k_t, v = (np.ascontiguousarray(
+        matmul_fwd(x, w.data).reshape(n, heads, d // heads).transpose(axes))
+        for w, axes in ((proj.wq, (1, 0, 2)), (proj.wk, (1, 2, 0)),
+                        (proj.wv, (1, 0, 2))))
+    out = np.ascontiguousarray(
+        softmax_mix(q, k_t, v, prior_gamma).transpose(1, 0, 2))
+    return matmul_fwd(out.reshape(n, d), proj.wo.data)
+
+
 def image_term(q: np.ndarray, k_img: np.ndarray, v_img: np.ndarray,
                heads: int) -> np.ndarray:
-    """Per-head softmax of every lane's query row over the cached image keys,
-    times the image values: (lanes, d) queries in, (lanes, d) head outputs
-    out. The cache keeps its (N_I, d) row layout; the head-major operands
-    are strided views of it."""
+    """Every lane's `softmax_mix` over the cached image keys and values:
+    (lanes, d) queries in, (lanes, d) head outputs out. The cache keeps its
+    (N_I, d) row layout; the head-major operands are strided views of it."""
     lanes, d = q.shape
     n, dh = k_img.shape[0], d // heads
-    dots = bmatmul_fwd(q.reshape(lanes, heads, dh).transpose(1, 0, 2),
-                       k_img.reshape(n, heads, dh).transpose(1, 2, 0))
-    weights = softmax_fwd(dots.reshape(-1, n) * (1.0 / np.sqrt(dh)))
-    out = bmatmul_fwd(weights.reshape(heads, lanes, n),
+    out = softmax_mix(q.reshape(lanes, heads, dh).transpose(1, 0, 2),
+                      k_img.reshape(n, heads, dh).transpose(1, 2, 0),
                       v_img.reshape(n, heads, dh).transpose(1, 0, 2))
     return out.transpose(1, 0, 2).reshape(lanes, d)
 
@@ -320,29 +339,6 @@ def _fused_step(s, k_img, v_img, q, k, v, gammas):
     o_text = bmatmul_fwd((q * (1.0 / np.sqrt(dh))).reshape(-1, 1, dh),
                          s.reshape(-1, dh, dh))
     return o_text.reshape(lanes, -1) + image_term(q, k_img, v_img, heads)
-
-
-def armf_recurrent_step(
-    state: RetentionState,
-    k_img: np.ndarray,
-    v_img: np.ndarray,
-    x_n: np.ndarray,
-    proj: ARMFProjections,
-    gamma: float,
-) -> tuple[np.ndarray, RetentionState]:
-    """Single-head recurrent fusion step over the full width, on a (1, d)
-    input row.
-
-    The retention state absorbs the new key/value pair; the image term is one
-    softmax over the cached image keys. The per-step cost depends on the image
-    length only, never on how many text steps came before. `state` is a
-    value: the step advances a copy of it.
-    """
-    s = state.s.copy()
-    out = _fused_step(s[None, None], k_img, v_img,
-                      *(matmul_fwd(x_n, w.data)
-                        for w in (proj.wq, proj.wk, proj.wv)), gamma)
-    return out, RetentionState(s=s, step=state.step + 1)
 
 
 def marmf_recurrent_step(

@@ -7,7 +7,9 @@ decoding. With mixer="attention" the block is a conventional multi-head
 softmax attention over the concatenated sequence (image queries restricted
 to image keys, text queries to image plus causal text keys) and decoding
 must carry a growing key/value cache. Both variants share identical
-parameter names and shapes, so they are directly comparable.
+parameter names and shapes, so they are directly comparable. One
+channels-last CNN embeds the image for training and decoding alike; a decode
+builds its image cache with no tape, through each layer's array image pass.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ from .fusion import (
     IMAGE_PRIORS,
     ImageKVCache,
     armf_cache_image,
+    image_mix,
+    image_prior_gammas,
     image_term,
     marmf_forward,
     marmf_recurrent_step,
     merge_heads,
     scaled_scores,
+    softmax_mix,
     split_heads,
 )
 from .retention import GAMMA_STRATEGIES, GammaSchedule, gate_gammas
@@ -50,11 +55,11 @@ from .tensor import (
     matmul,
     matmul_fwd,
     mul_const,
+    no_tape,
     permute,
     reshape,
     scale_rows,
     slice_rows,
-    softmax_fwd,
     sum_all,
     unfold,
 )
@@ -228,9 +233,13 @@ class DecoderLayer:
 
     # --- image-only path for cache building (text rows cannot influence it)
 
-    def advance_image(self, x_img: Tensor) -> Tensor:
-        seq = FusionSequence(x_img, n_image=x_img.shape[0], n_text=0)
-        return self.forward(seq, train=None)
+    def advance_image(self, x: np.ndarray) -> np.ndarray:
+        """`forward` of an image-only sequence on plain (N_I, d) rows, with
+        no tape: `fusion.image_mix`, then the sublayers."""
+        prior = (image_prior_gammas(self.head_cfg, self.schedule, self.index)
+                 if self.config.mixer == "retention" else None)  # twin: none
+        return self._post_step(x, image_mix(x, self.projections,
+                                            self.config.heads, prior))
 
     # --- decode paths: one (lanes, d) array row per live beam lane, through
     # the tensor forward kernels (no tape, no dropout)
@@ -240,7 +249,7 @@ class DecoderLayer:
         or under the gated strategy one row per lane (lanes, H)."""
         cfg = self.config
         if cfg.gamma_strategy == "gated":
-            z = Tensor._wrap(x @ self.gate_weights.data, False)
+            z = Tensor._wrap(matmul_fwd(x, self.gate_weights.data), False)
             return gate_gammas(z, cfg.tau).data
         return self.schedule.layer_values(self.index)
 
@@ -313,9 +322,8 @@ class DecoderLayer:
                 img = np.broadcast_to(img, (lanes, heads, n, dh))
                 return np.concatenate([img, text], axis=2).reshape(-1, n + t, dh)
 
-            dots = bmatmul_fwd(q_rows, with_image(k_img, keys).transpose(0, 2, 1))
-            attn = softmax_fwd(dots.reshape(-1, n + t) * inv)
-            merged = bmatmul_fwd(attn.reshape(-1, 1, n + t),
+            merged = softmax_mix(q_rows,
+                                 with_image(k_img, keys).transpose(0, 2, 1),
                                  with_image(v_img, values)).reshape(lanes, -1)
         mixed = matmul_fwd(merged, proj.wo.data)
         return self._post_step(x, mixed), keys, values, gate_logs
@@ -338,6 +346,9 @@ class Model:
             # fail fast if the schedule is infeasible for this depth/width
             self.schedule.values()
         self.layers = [DecoderLayer(self, i) for i in range(config.layers)]
+        # decode steps' position rows, grown past max_text_len on demand
+        self._positions = sinusoidal_positions(config.max_text_len,
+                                               config.d_model)
 
     # --- parameters
 
@@ -396,24 +407,22 @@ class Model:
         if image.data.ndim != 3 or image.shape[0] != 1:
             raise ValueError("expected a (1, h, w) grayscale image")
         if image.shape[1] != cfg.height:
-            raise ValueError(
-                f"image height {image.shape[1]} != configured {cfg.height}"
-            )
-        x = image
+            raise ValueError(f"image height {image.shape[1]} != configured "
+                             f"{cfg.height}")
+        # channels-last (h, w, c) maps: a stage's rows are the next one's input
+        x = reshape(image, image.shape[1:] + (1,))
         for stage in range(3):
             cols, oh, ow = unfold(x, kernel=_CNN_KERNEL,
                                   stride=_CNN_STRIDES[stage], pad=_CNN_PAD)
             y = add(matmul(cols, self.params[f"cnn{stage}_w"]),
                     self.params[f"cnn{stage}_b"])
-            y = gelu(y)
-            c_out = self.config.cnn_channels[stage]
-            x = permute(reshape(y, (oh, ow, c_out)), (2, 0, 1))
-        c, hv, wv = x.shape
+            x = reshape(gelu(y), (oh, ow, cfg.cnn_channels[stage]))
+        hv, wv, c = x.shape
         if wv > cfg.max_image_tokens:
-            raise ValueError(
-                f"image yields {wv} tokens, above max_image_tokens={cfg.max_image_tokens}"
-            )
-        folded = reshape(permute(x, (2, 0, 1)), (wv, c * hv))
+            raise ValueError(f"image yields {wv} tokens, above "
+                             f"max_image_tokens={cfg.max_image_tokens}")
+        # one token per column, its features ordered (channel, row)
+        folded = reshape(permute(x, (1, 2, 0)), (wv, c * hv))
         tokens = add(matmul(folded, self.params["img_proj_w"]),
                      self.params["img_proj_b"])
         tokens = add(tokens, slice_rows(self.params["img_pos"], 0, wv))
@@ -436,9 +445,11 @@ class Model:
 
     def embed_text_step(self, token_ids, position: int) -> np.ndarray:
         """One (lanes, d) row per lane's token, all at the same position."""
+        if position >= len(self._positions):
+            size = max(2 * len(self._positions), position + 1)
+            self._positions = sinusoidal_positions(size, self.config.d_model)
         emb = embedding_fwd(self.params["char_embed"].data, token_ids)
-        return emb + sinusoidal_positions(1, self.config.d_model,
-                                          first=position)[0]
+        return emb + self._positions[position]
 
     # --- forward passes
 
@@ -461,8 +472,11 @@ class Model:
         return add(matmul(text_x, self.params["head_w"]), self.params["head_b"])
 
     def build_image_cache(self, image: Tensor) -> ImageKVCache:
-        """Per-layer image keys/values, computed once before decoding."""
-        return armf_cache_image(self.embed_image(image).tokens, self.layers)
+        """Per-layer image keys/values, computed once before decoding, with
+        no tape."""
+        with no_tape():
+            tokens = self.embed_image(image).tokens.data
+        return armf_cache_image(tokens, self.layers)
 
     def head_logits(self, x: np.ndarray) -> np.ndarray:
         """(lanes, vocab) logits for (lanes, d) rows."""

@@ -10,7 +10,8 @@ The forward math of the primitives a decode step needs (the counted
 products, layer norm, GELU, row softmax, the embedding gather) lives in
 plain-array kernels, the `*_fwd` functions. The Tensor primitives compute
 their forward through them, and decode steps, which never record a tape,
-call them directly.
+call them directly. Inside `no_tape` nothing records, as when decoding runs
+the CNN, whose im2col (`unfold`) takes channels-last (h, w, c) maps.
 """
 
 from __future__ import annotations
@@ -257,6 +258,14 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._nodes)
+
+
+class no_tape(Tape):
+    """Context manager inside which nothing records, whatever tape is
+    active: for forward passes whose values alone are kept."""
+
+    def __enter__(self) -> None:
+        _tape_stack().append(None)
 
 
 def _active_tape():
@@ -725,36 +734,36 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
 
 def unfold(x: Tensor, kernel: int, stride: tuple, pad: int):
-    """im2col for a (c, h, w) tensor: returns ((oh*ow, c*kernel*kernel) tensor,
-    oh, ow). Patch rows are ordered row-major over output positions."""
+    """im2col for a channels-last (h, w, c) tensor: ((oh*ow, c*k*k) tensor,
+    oh, ow), rows over output positions, columns in (c, ki, kj) order."""
     if x.data.ndim != 3:
-        raise ValueError("unfold expects a (c, h, w) tensor")
-    c, h, w = x.shape
+        raise ValueError("unfold expects an (h, w, c) tensor")
+    h, w, c = x.shape
     sh, sw = stride
     oh = (h + 2 * pad - kernel) // sh + 1
     ow = (w + 2 * pad - kernel) // sw + 1
     if oh < 1 or ow < 1:
         raise ValueError("unfold: kernel does not fit input")
     hp, wp = h + 2 * pad, w + 2 * pad
-    padded = np.zeros((c, hp, wp))
-    padded[:, pad:pad + h, pad:pad + w] = x.data
+    padded = np.zeros((hp, wp, c))
+    padded[pad:pad + h, pad:pad + w] = x.data
 
-    # a strided view of every patch, copied once in (oh, ow, c, k, k) order
+    # a strided (oh, ow, c, k, k) view of every patch, copied once
     windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (kernel, kernel), axis=(1, 2))[:, ::sh, ::sw]
-    cols = np.ascontiguousarray(windows.transpose(1, 2, 0, 3, 4))
-    out = Tensor._wrap(cols.reshape(oh * ow, c * kernel * kernel), False)
+        padded, (kernel, kernel), axis=(0, 1))[::sh, ::sw]
+    out = Tensor._wrap(np.ascontiguousarray(windows).reshape(
+        oh * ow, c * kernel * kernel), False)
 
     def grad_fn(g):
-        g = g.reshape(oh, ow, c, kernel, kernel).transpose(2, 3, 4, 0, 1)
-        gpad = np.zeros((c, hp, wp))
+        g = g.reshape(oh, ow, c, kernel, kernel).transpose(3, 4, 0, 1, 2)
+        gpad = np.zeros((hp, wp, c))
         # a padded element gets its terms in increasing output position,
         # i.e. decreasing (ki, kj): the order a scatter-add over the patch
         # rows would use, so the sums match it bitwise
         for ki in reversed(range(kernel)):
             for kj in reversed(range(kernel)):
-                gpad[:, ki:ki + sh * oh:sh, kj:kj + sw * ow:sw] += g[:, ki, kj]
-        return (np.ascontiguousarray(gpad[:, pad:pad + h, pad:pad + w]),)
+                gpad[ki:ki + sh * oh:sh, kj:kj + sw * ow:sw] += g[ki, kj]
+        return (np.ascontiguousarray(gpad[pad:pad + h, pad:pad + w]),)
 
     return _record(out, (x,), grad_fn), oh, ow
 

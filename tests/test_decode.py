@@ -13,12 +13,10 @@ from retline.costmodel import memory_elements
 from retline.decode import (
     KVDecodeState,
     beam_search,
-    decode_transcript,
-    greedy_decode,
     kv_reindex,
     write_stats_csv,
 )
-from retline.data import EOS_ID, PAD_ID, SOS_ID, Vocab, render_line
+from retline.data import EOS_ID, PAD_ID, SOS_ID, Vocab, detokenize, render_line
 from retline.fusion import IMAGE_PRIORS
 from retline.model import Model, ModelConfig
 from retline.retention import GAMMA_STRATEGIES
@@ -40,23 +38,17 @@ def toy_image(seed=0, width=24):
 
 
 class TestGreedy:
-    def test_equals_beam_one(self):
-        model = small_model()
-        img = toy_image(3)
-        g = greedy_decode(model, img)
-        b = beam_search(model, img, beam=1)
-        assert g.tokens == b.tokens
-        assert g.score == b.score
+    """Greedy decoding is beam search at beam 1."""
 
     def test_terminates_within_max_len(self):
         model = small_model()
-        out = greedy_decode(model, toy_image(4), max_len=5)
+        out = beam_search(model, toy_image(4), beam=1, max_len=5)
         assert len(out.tokens) <= 5
 
     def test_deterministic(self):
         model = small_model()
-        a = greedy_decode(model, toy_image(5))
-        b = greedy_decode(model, toy_image(5))
+        a = beam_search(model, toy_image(5), beam=1)
+        b = beam_search(model, toy_image(5), beam=1)
         assert a.tokens == b.tokens and a.score == b.score
 
 
@@ -148,15 +140,18 @@ class TestBeam:
         assert len(counts) == 1
 
     def test_finished_hypotheses_preserved(self):
+        # the returned hypothesis is a finished one: a finite
+        # log-probability, and character ids with the specials stripped
         model = small_model(seed=12)
         out = beam_search(model, toy_image(13), beam=2)
-        if out.finished:
-            assert out.tokens == tuple(out.tokens)
+        assert np.isfinite(out.score) and out.score <= 0.0
+        assert not {PAD_ID, SOS_ID, EOS_ID} & set(out.tokens)
 
     def test_transcript_helper_strips_specials(self):
         model = small_model(seed=13, vocab_size=7)
         vocab = Vocab("abcd")
-        text, result = decode_transcript(model, vocab, toy_image(14), beam=2)
+        result = beam_search(model, toy_image(14), beam=2)
+        text = detokenize(result.tokens, vocab)
         assert len(text) == len(result.tokens)
         assert all(c in "abcd" for c in text)
 
@@ -257,7 +252,9 @@ class TestSelectionMatchesLoop:
         assert array_fed == fed
         assert out.tokens == tokens
         assert out.score.hex() == score.hex()
-        assert out.finished == finished
+        # the loop's unfinished-result branch never fires: every step
+        # finishes its lanes' EOS candidates
+        assert finished
         assert len(out.stats) == steps
 
 
@@ -448,6 +445,80 @@ class TestStepRecordsNothing:
             np.testing.assert_array_equal(a, b)
 
 
+class TestCacheAndSearchRecordNothing:
+    """The image cache is built on plain arrays, and the CNN before it runs
+    with no tape: inside an active tape, with every parameter requiring
+    gradients, neither the cache nor a whole beam search records a node,
+    and both give the same results bitwise."""
+
+    @pytest.mark.parametrize("mixer,strategy,backend", [
+        ("retention", "layerwise", "recurrent"),
+        ("retention", "layerwise", "kv"),
+        ("retention", "gated", "recurrent"),
+        ("attention", "layerwise", "kv"),
+    ])
+    def test_no_node_and_same_results(self, mixer, strategy, backend):
+        cfg = ModelConfig(
+            vocab_size=8, max_text_len=12, layers=2, heads=2, d_model=16,
+            d_ff=32, cnn_channels=(4, 8, 8), mixer=mixer,
+            gamma_strategy=strategy, image_prior="none", dropout_mix=0.0,
+            dropout_embed=0.0,
+        )
+        model = Model(cfg, seed=2)
+        assert all(p.requires_grad for p in model.params.values())
+        image = toy_image(6)
+        plain = (model.build_image_cache(image),
+                 beam_search(model, image, beam=3, backend=backend))
+        with Tape() as tape:
+            taped = (model.build_image_cache(image),
+                     beam_search(model, image, beam=3, backend=backend))
+            assert len(tape) == 0
+        for a, b in zip(plain[0].keys + plain[0].values,
+                        taped[0].keys + taped[0].values):
+            np.testing.assert_array_equal(a, b)
+        assert plain[1].tokens == taped[1].tokens
+        assert plain[1].score.hex() == taped[1].score.hex()
+        assert plain[1].stats == taped[1].stats
+
+
+class TestGateProjectionCounted:
+    """Under the gated strategy each decode step also computes the gate
+    projection, one (lanes, d) x (d, H) product per layer, and counts it:
+    with the same weights and EOS masked, every gated stats row exceeds the
+    layer-wise one by exactly that product."""
+
+    @staticmethod
+    def rows(strategy, backend, beam, weights=None):
+        cfg = ModelConfig(
+            vocab_size=8, max_text_len=12, layers=2, heads=2, d_model=16,
+            d_ff=32, cnn_channels=(4, 8, 8), gamma_strategy=strategy,
+            dropout_mix=0.0, dropout_embed=0.0,
+        )
+        model = Model(cfg, seed=7)
+        for name, param in (weights or {}).items():
+            model.params[name].data[...] = param.data
+        TestBatchedLanes.no_eos(model)
+        out = beam_search(model, toy_image(8), beam=beam, max_len=6,
+                          backend=backend)
+        return model, [(r["mults"], r["adds"]) for r in out.stats]
+
+    @pytest.mark.parametrize("backend", ["recurrent", "kv"])
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_gated_rows_exceed_layerwise_by_the_gate_product(self, backend,
+                                                             beam):
+        layerwise, base = self.rows("layerwise", backend, beam)
+        _, gated = self.rows("gated", backend, beam, layerwise.params)
+        cfg = layerwise.config
+        d, heads, layers = cfg.d_model, cfg.heads, cfg.layers
+        candidates = cfg.vocab_size - 3  # every id but PAD, SOS and EOS
+        assert len(gated) == len(base) == 6
+        lanes = 1
+        for (gm, ga), (bm, ba) in zip(gated, base):
+            assert gm - bm == layers * lanes * d * heads
+            assert ga - ba == layers * lanes * heads * (d - 1)
+            lanes = min(beam, lanes * candidates)
+
+
 class TestKvReindex:
     def lanes(self):
         # one layer, three lanes of one head, t=3, d_head=2
@@ -511,8 +582,10 @@ PINNED_DECODE_DIGESTS = {
         "a5f281fd790e693197ccc1c2321ffd4e2f99fb2cecb3140527123082db99e728",
     ("original", "layerwise"):
         "a5f281fd790e693197ccc1c2321ffd4e2f99fb2cecb3140527123082db99e728",
+    # re-captured once the gate projection was counted: tokens and scores
+    # unchanged, every stats row up by the projection's mults and adds
     ("gated", "none"):
-        "0b5e88217dc7eccee64edbde20beed737c82ca63b69b7f1b63c515793b967773",
+        "ba765593a8cd16032ac2889f8c44bf1385c15a3389e3cd0fadb732aacf320435",
     ("small_gamma", "none"):
         "ca57bd70895e041bf2053fd5e2936b6b139b3cff925b1d9fe23826f8ef724f3e",
     ("small_gamma", "fixed"):

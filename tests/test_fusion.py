@@ -12,22 +12,30 @@ from retline.fusion import (
     FusionSequence,
     armf_cache_image,
     armf_parallel,
-    armf_recurrent_step,
     build_armf_mask,
     marmf_forward,
     marmf_recurrent_step,
 )
-from retline.retention import (
-    GAMMA_STRATEGIES,
-    GammaSchedule,
-    RetentionState,
-    gate_gammas,
-)
+from retline.retention import GAMMA_STRATEGIES, GammaSchedule, gate_gammas
 from retline.tensor import Tape, Tensor, backward, slice_rows, sum_all
 
 
 def make_proj(d, rng):
     return ARMFProjections(*(Tensor(rng.standard_normal((d, d))) for _ in range(4)))
+
+
+def single_head_step(state, k_img, v_img, x, proj, gamma):
+    """One recurrent fusion step at H = 1 with an identity output
+    projection, on a (1, d) row: advances the (1, 1, d, d) state in place and
+    returns the (1, d) output and the state."""
+    d = x.shape[1]
+    unprojected = ARMFProjections(proj.wq, proj.wk, proj.wv, Tensor(np.eye(d)))
+    return marmf_recurrent_step(state, (k_img, v_img), x, unprojected,
+                                ARMFHeadConfig(d_model=d, heads=1), [gamma])
+
+
+def fresh_state(d):
+    return np.zeros((1, 1, d, d))
 
 
 def fused_oracle(x, wq, wk, wv, n_image, gamma, prior_gamma=None):
@@ -184,9 +192,7 @@ class TestRecurrent:
         k_img = rng.standard_normal((1, d))
         v_img = rng.standard_normal((1, d))
         x = rng.standard_normal((1, d))
-        out, _ = armf_recurrent_step(
-            RetentionState.fresh(d), k_img, v_img, x, proj, 0.5
-        )
+        out, _ = single_head_step(fresh_state(d), k_img, v_img, x, proj, 0.5)
         q = x @ proj.wq.data
         k = x @ proj.wk.data
         v = x @ proj.wv.data
@@ -200,18 +206,17 @@ class TestRecurrent:
         k_img = rng.standard_normal((3, d))
         v_img = rng.standard_normal((3, d))
         x = rng.standard_normal((1, d))
-        out, state = armf_recurrent_step(
-            RetentionState.fresh(d), k_img, v_img, x, proj, 0.9
-        )
+        out, state = single_head_step(fresh_state(d), k_img, v_img, x, proj,
+                                      0.9)
         q = x @ proj.wq.data
         k = x @ proj.wk.data
         v = x @ proj.wv.data
-        np.testing.assert_allclose(state.s, k.T @ v, atol=1e-13)
+        np.testing.assert_allclose(state[0, 0], k.T @ v, atol=1e-13)
         dots = q @ k_img.T / np.sqrt(d)
         e = np.exp(dots - dots.max())
         o_img = (e / e.sum()) @ v_img
         np.testing.assert_allclose(
-            out, (q / np.sqrt(d)) @ state.s + o_img, atol=1e-12
+            out, (q / np.sqrt(d)) @ state[0, 0] + o_img, atol=1e-12
         )
 
     def test_steps_reproduce_parallel_text_rows(self):
@@ -229,10 +234,10 @@ class TestRecurrent:
             x_img = Tensor(x[:n_image])
             k_img = (x_img.data @ proj.wk.data)
             v_img = (x_img.data @ proj.wv.data)
-            state = RetentionState.fresh(d)
+            state = fresh_state(d)
             worst = 0.0
             for t in range(n_text):
-                row, state = armf_recurrent_step(
+                row, state = single_head_step(
                     state, k_img, v_img, x[n_image + t:n_image + t + 1],
                     proj, gamma,
                 )
@@ -249,12 +254,12 @@ class TestStepCosts:
         proj = make_proj(d, rng)
         k_img = rng.standard_normal((n_image, d))
         v_img = rng.standard_normal((n_image, d))
-        state = RetentionState.fresh(d)
+        state = fresh_state(d)
         counts = set()
         for t in range(n_text):
             counter = OpCounter()
             with count_ops(counter):
-                _, state = armf_recurrent_step(
+                _, state = single_head_step(
                     state, k_img, v_img,
                     rng.standard_normal((1, d)), proj, 0.9,
                 )
@@ -265,7 +270,7 @@ class TestStepCosts:
 class TestCache:
     def test_identity_projection_returns_input(self):
         rng = np.random.default_rng(11)
-        x_img = Tensor(rng.standard_normal((4, 5)))
+        x_img = rng.standard_normal((4, 5))
         layer = SimpleNamespace(
             projections=ARMFProjections(
                 Tensor(np.eye(5)), Tensor(np.eye(5)), Tensor(np.eye(5)),
@@ -273,8 +278,8 @@ class TestCache:
             )
         )
         cache = armf_cache_image(x_img, [layer])
-        np.testing.assert_array_equal(cache.keys[0], x_img.data)
-        np.testing.assert_array_equal(cache.values[0], x_img.data)
+        np.testing.assert_array_equal(cache.keys[0], x_img)
+        np.testing.assert_array_equal(cache.values[0], x_img)
 
     def test_cache_matches_parallel_slices(self):
         rng = np.random.default_rng(12)
@@ -282,14 +287,14 @@ class TestCache:
         proj = make_proj(d, rng)
         x = rng.standard_normal((7, d))
         layer = SimpleNamespace(projections=proj)
-        cache = armf_cache_image(Tensor(x[:3]), [layer])
+        cache = armf_cache_image(x[:3], [layer])
         np.testing.assert_allclose(cache.keys[0], (x[:3] @ proj.wk.data), atol=0)
         np.testing.assert_allclose(cache.values[0], (x[:3] @ proj.wv.data), atol=0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(13)
         proj = make_proj(4, rng)
-        x_img = Tensor(rng.standard_normal((3, 4)))
+        x_img = rng.standard_normal((3, 4))
         layer = SimpleNamespace(projections=proj)
         c1 = armf_cache_image(x_img, [layer])
         c2 = armf_cache_image(x_img, [layer])
@@ -303,13 +308,13 @@ class TestCache:
         shift = rng.standard_normal((1, d))
 
         layer1 = SimpleNamespace(
-            projections=p1, advance_image=lambda x: Tensor(x.data + shift)
+            projections=p1, advance_image=lambda x: x + shift
         )
         layer2 = SimpleNamespace(projections=p2)
-        x_img = Tensor(rng.standard_normal((3, d)))
+        x_img = rng.standard_normal((3, d))
         cache = armf_cache_image(x_img, [layer1, layer2])
         np.testing.assert_allclose(
-            cache.keys[1], (x_img.data + shift) @ p2.wk.data, atol=1e-15
+            cache.keys[1], (x_img + shift) @ p2.wk.data, atol=1e-15
         )
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from retline.checkpoint import load_checkpoint, save_checkpoint
 from retline.data import EOS_ID, PAD_ID, SOS_ID, Vocab, render_line, tokenize
-from retline.fusion import IMAGE_PRIORS
+from retline.fusion import IMAGE_PRIORS, FusionSequence
 from retline.model import (
     Model,
     ModelConfig,
@@ -122,6 +122,19 @@ class TestTextEmbedding:
             step = model.embed_text_step([token], pos)
             np.testing.assert_array_equal(step[0], rows[pos])
 
+    @pytest.mark.parametrize("order", ["ascending", "past_the_table_first"])
+    def test_step_rows_past_max_text_len(self, order):
+        # the position table starts at max_text_len rows and grows on demand
+        model = Model(tiny_config())
+        positions = list(range(40))
+        if order == "past_the_table_first":
+            positions = [35] + positions
+        emb = model.params["char_embed"].data[3]
+        for pos in positions:
+            expected = emb + sinusoidal_positions(1, 16, first=pos)[0]
+            np.testing.assert_array_equal(model.embed_text_step([3], pos)[0],
+                                          expected)
+
     def test_bounded(self):
         pe = sinusoidal_positions(1000, 24)
         assert pe.min() >= -1.0 and pe.max() <= 1.0
@@ -137,6 +150,29 @@ class TestTextEmbedding:
         model = Model(tiny_config())
         with pytest.raises(ValueError):
             model.embed_text([7])
+
+
+class TestImageOnlyPass:
+    """`DecoderLayer.advance_image` on plain arrays is bitwise the layer's
+    forward over an image-only sequence, layer after layer. At the toy
+    model's width, strided head stacks in place of contiguous copies change
+    the last bits, so this is the width it is checked at."""
+
+    @pytest.mark.parametrize("mixer,strategy,prior", [
+        ("retention", s, p) for s in GAMMA_STRATEGIES for p in IMAGE_PRIORS
+        if s != "gated" or p == "none"  # gated decay rejects image priors
+    ] + [("attention", "layerwise", p) for p in ("none", "fixed")])
+    def test_equals_forward_bitwise(self, mixer, strategy, prior):
+        model = Model(tiny_config(layers=3, heads=4, d_model=64, d_ff=128,
+                                  cnn_channels=(8, 16, 16), mixer=mixer,
+                                  gamma_strategy=strategy, image_prior=prior),
+                      seed=3)
+        x = model.embed_image(toy_image(width=44)).tokens
+        for layer in model.layers:
+            rows = layer.advance_image(x.data)
+            x = layer.forward(FusionSequence(x, x.shape[0], 0), train=None)
+            assert isinstance(rows, np.ndarray)
+            assert np.array_equal(rows, x.data), layer.index
 
 
 class TestForward:

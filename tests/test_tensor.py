@@ -327,9 +327,14 @@ class TestRotation:
         )
 
 
+def channels_last(chw):
+    """A (c, h, w) array as the (h, w, c) tensor `unfold` takes."""
+    return Tensor(np.ascontiguousarray(np.transpose(chw, (1, 2, 0))))
+
+
 class TestUnfold:
     def test_shapes_and_values(self):
-        x = Tensor(np.arange(2 * 4 * 4, dtype=float).reshape(2, 4, 4))
+        x = channels_last(np.arange(2 * 4 * 4, dtype=float).reshape(2, 4, 4))
         cols, oh, ow = unfold(x, kernel=3, stride=(2, 2), pad=1)
         assert (oh, ow) == (2, 2)
         assert cols.shape == (4, 2 * 9)
@@ -339,7 +344,7 @@ class TestUnfold:
         )
 
     def test_gradient(self):
-        x = Tensor(np.random.default_rng(2).standard_normal((2, 6, 5)))
+        x = channels_last(np.random.default_rng(2).standard_normal((2, 6, 5)))
         err = grad_check(lambda t: sum_all(mul(unfold(t, 3, (2, 1), 1)[0],
                                                unfold(t, 3, (2, 1), 1)[0])), x)
         assert err <= 1e-6
@@ -374,7 +379,8 @@ def gather_unfold(x, kernel, stride, pad):
 
 class TestUnfoldMatchesGather:
     """The strided-view `unfold` equals the gather/scatter im2col bitwise,
-    forward and backward."""
+    forward and backward. The reference works on (c, h, w); `unfold` takes
+    the same values channels-last, and its gradient is transposed back."""
 
     @pytest.mark.parametrize("c", [1, 3])
     @pytest.mark.parametrize("kernel", [1, 3, 5])
@@ -383,18 +389,22 @@ class TestUnfoldMatchesGather:
     @pytest.mark.parametrize("hw", [(7, 9), (5, 11)])  # (5, 11) at k=5, pad=0: oh == 1
     def test_bitwise(self, c, kernel, stride, pad, hw):
         rng = np.random.default_rng(c * 1000 + kernel * 100 + pad)
-        x = Tensor(rng.standard_normal((c,) + hw), requires_grad=True)
-        ref_cols, ref_backward = gather_unfold(x.data, kernel, stride, pad)
+        chw = rng.standard_normal((c,) + hw)
+        x = channels_last(chw)
+        x.requires_grad = True
+        ref_cols, ref_backward = gather_unfold(chw, kernel, stride, pad)
         upstream = Tensor(rng.standard_normal(ref_cols.shape))
         with Tape():
             cols, oh, ow = unfold(x, kernel, stride, pad)
             backward(sum_all(mul(cols, upstream)))
         assert cols.shape == (oh * ow, c * kernel * kernel)
         assert np.array_equal(cols.data, ref_cols)
-        assert np.array_equal(x.grad, ref_backward(upstream.data))
+        assert np.array_equal(np.transpose(x.grad, (2, 0, 1)),
+                              ref_backward(upstream.data))
 
     def test_grid_has_a_single_output_row(self):
-        assert unfold(Tensor(np.zeros((1, 5, 11))), 5, (3, 2), 0)[1] == 1
+        x = channels_last(np.zeros((1, 5, 11)))
+        assert unfold(x, 5, (3, 2), 0)[1] == 1
 
 
 class TestDropout:
