@@ -15,18 +15,17 @@ import sys
 
 import numpy as np
 
-from . import decode  # module calls, which perfbench/tracing.py wraps
 from .checkpoint import load_checkpoint, save_checkpoint
 from .costmodel import beam_memory_summary, sweep_rows, write_sweep_csv
 from .data import (
     DEFAULT_HEIGHT,
     Vocab,
-    detokenize,
     generate_dataset,
     load_manifest,
     render_line,
     tokenize,
 )
+from .decode import decode_transcript, write_stats_csv
 from .maps import dump_maps
 from .model import Model, ModelConfig, teacher_pair
 from .training import (
@@ -251,17 +250,15 @@ def _cmd_decode(args, config) -> int:
         backend = "recurrent" if model.config.mixer == "retention" else "kv"
     results, lines, pairs = [], [], []
     for sample in ds.samples:
-        result = decode.beam_search(model, sample.image, beam=beam,
-                                    backend=backend)
-        text = detokenize(result.tokens, ds.vocab)
+        text, result = decode_transcript(model, ds.vocab, sample.image,
+                                         beam=beam, backend=backend)
         results.append(result)
         lines.append(f"{sample.sample_id}\t{text}")
         pairs.append((text, sample.transcript))
     out_txt = os.path.join(args.out_dir, "transcripts.txt")
     with open(out_txt, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    decode.write_stats_csv(os.path.join(args.out_dir, "decode_stats.csv"),
-                           results)
+    write_stats_csv(os.path.join(args.out_dir, "decode_stats.csv"), results)
     cer_val, wer_val = transcript_rates(pairs)
     print(f"decoded {len(ds.samples)} lines (beam {beam}, {backend}); "
           f"cer {cer_val:.4f} wer {wer_val:.4f}; wrote {out_txt}")

@@ -12,13 +12,14 @@ model, which is what the cross-backend equivalence checks exploit. The
 attention twin only supports the kv backend (softmax over text history has
 no recurrent form).
 
-A step, like the image cache built before it, runs on plain float64 arrays
-through the tensor module's forward kernels: it records no tape, whatever
-tape is active, and registers the counts of the Tensor primitives. The
-recurrent backend advances each lane's state in place, which is safe because
-decode owns every state array: `fresh` allocates them and `reindex` gathers
-fresh copies. When beam pruning keeps every lane in its place, always so at
-beam 1, the gather is skipped.
+The image cache is built before the first step, with no tape, and held as
+plain float64 arrays. A step runs on plain float64 arrays through the tensor
+module's forward kernels: it records no tape, whatever tape is active, and
+registers the counts of the Tensor primitives. The recurrent backend
+advances each lane's state in place, which is safe because decode owns every
+state array: `fresh` allocates them and `reindex` gathers fresh copies. When
+beam pruning keeps every lane in its place, always so at beam 1, the gather
+is skipped.
 
 Stats rows record, per step: scalar multiply/add counts from the tensor
 instrumentation and the live state elements held by all lanes.
@@ -220,6 +221,24 @@ def beam_search(model: Model, image: Tensor, beam: int,
     # every step finishes its lanes' EOS candidates, so one always exists
     return DecodeResult(tokens=best_tokens, score=best_score,
                         stats=tuple(stats))
+
+
+def greedy_decode(model: Model, image: Tensor,
+                  max_len: int | None = None,
+                  backend: str = "recurrent") -> DecodeResult:
+    """Argmax decoding; identical to beam_search with a single slot, including
+    the smallest-token-id tie break."""
+    return beam_search(model, image, beam=1, max_len=max_len, backend=backend)
+
+
+def decode_transcript(model: Model, vocab, image: Tensor, beam: int = 1,
+                      max_len: int | None = None,
+                      backend: str = "recurrent") -> tuple:
+    """Decode and map ids back to text; returns (transcript, result)."""
+    result = beam_search(model, image, beam=beam, max_len=max_len,
+                         backend=backend)
+    text = "".join(vocab.id_to_char(t) for t in result.tokens)
+    return text, result
 
 
 def write_stats_csv(path, results) -> None:

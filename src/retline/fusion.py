@@ -14,10 +14,11 @@ Every parallel pass runs one batched core over (H, n, d_head) head stacks:
 forward and for `armf_parallel` (H = 1); the attention twin shares its
 `scaled_scores`, and the score maps read the weights the forward computed.
 
-Decode runs on plain float64 arrays through the tensor module's forward
-kernels, recording no tape and building no gradient closures: the image cache
-(`armf_cache_image`, over each layer's image-only pass `image_mix`) and the
-recurrent step (`marmf_recurrent_step`), which advances the states in place.
+Decode steps (`marmf_recurrent_step`) run on plain float64 arrays through
+the tensor module's forward kernels, so they record no tape and build no
+gradient closures, and they advance the retention states in place. The image
+cache (`armf_cache_image`) also holds plain arrays; each layer's image rows
+come from the parallel forward of an image-only sequence.
 """
 
 from __future__ import annotations
@@ -273,7 +274,8 @@ def armf_cache_image(x_img: np.ndarray, layers) -> ImageKVCache:
     """Project the (N_I, d) image token rows through every layer's K/V
     weights, on plain arrays. Each element of `layers` exposes `.projections`
     and, except for the last, `.advance_image(x) -> x_next`, which carries the
-    image rows through the rest of the layer to feed the next one."""
+    image rows through the rest of the layer (the image-only forward) to feed
+    the next one."""
     keys, values = [], []
     x = x_img
     for i, layer in enumerate(layers):
@@ -284,33 +286,12 @@ def armf_cache_image(x_img: np.ndarray, layers) -> ImageKVCache:
     return ImageKVCache(keys=tuple(keys), values=tuple(values))
 
 
-def softmax_mix(q: np.ndarray, k_t: np.ndarray, v: np.ndarray,
-                prior_gamma=None) -> np.ndarray:
+def softmax_mix(q: np.ndarray, k_t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Softmax attention on plain arrays: (b, m, d_head) queries against
-    (b, d_head, n) keys, the row softmax of the scaled scores (for m == n
-    reweighted by the bidirectional prior of one gamma per batch entry and
-    renormalized, if given) times the (b, n, d_head) values."""
+    (b, d_head, n) keys, the row softmax of the scaled scores times the
+    (b, n, d_head) values."""
     weights = softmax_fwd(bmatmul_fwd(q, k_t) * (1.0 / np.sqrt(q.shape[2])))
-    if prior_gamma is not None:
-        weights *= build_decay_bidirectional(v.shape[1], prior_gamma).entries
-        weights /= weights.sum(axis=-1, keepdims=True)
     return bmatmul_fwd(weights, v)
-
-
-def image_mix(x: np.ndarray, proj: ARMFProjections, heads: int,
-              prior_gamma=None) -> np.ndarray:
-    """Mixer output of an image-only sequence on plain (N_I, d) rows: every
-    head's `softmax_mix` (under the bidirectional prior of one gamma per head,
-    if given) through `wo`. The head stacks are contiguous copies, as in the
-    parallel pass, so the rows are bitwise `marmf_forward`'s at N_T = 0."""
-    n, d = x.shape
-    q, k_t, v = (np.ascontiguousarray(
-        matmul_fwd(x, w.data).reshape(n, heads, d // heads).transpose(axes))
-        for w, axes in ((proj.wq, (1, 0, 2)), (proj.wk, (1, 2, 0)),
-                        (proj.wv, (1, 0, 2))))
-    out = np.ascontiguousarray(
-        softmax_mix(q, k_t, v, prior_gamma).transpose(1, 0, 2))
-    return matmul_fwd(out.reshape(n, d), proj.wo.data)
 
 
 def image_term(q: np.ndarray, k_img: np.ndarray, v_img: np.ndarray,

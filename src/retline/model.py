@@ -9,7 +9,7 @@ to image keys, text queries to image plus causal text keys) and decoding
 must carry a growing key/value cache. Both variants share identical
 parameter names and shapes, so they are directly comparable. One
 channels-last CNN embeds the image for training and decoding alike; a decode
-builds its image cache with no tape, through each layer's array image pass.
+builds its image cache with no tape and keeps it as plain arrays.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .fusion import (
     IMAGE_PRIORS,
     ImageKVCache,
     armf_cache_image,
-    image_mix,
-    image_prior_gammas,
     image_term,
     marmf_forward,
     marmf_recurrent_step,
@@ -234,12 +232,9 @@ class DecoderLayer:
     # --- image-only path for cache building (text rows cannot influence it)
 
     def advance_image(self, x: np.ndarray) -> np.ndarray:
-        """`forward` of an image-only sequence on plain (N_I, d) rows, with
-        no tape: `fusion.image_mix`, then the sublayers."""
-        prior = (image_prior_gammas(self.head_cfg, self.schedule, self.index)
-                 if self.config.mixer == "retention" else None)  # twin: none
-        return self._post_step(x, image_mix(x, self.projections,
-                                            self.config.heads, prior))
+        """`forward` of an image-only sequence, on plain (N_I, d) rows."""
+        seq = FusionSequence(Tensor._wrap(x, False), x.shape[0], 0)
+        return self.forward(seq, train=None).data
 
     # --- decode paths: one (lanes, d) array row per live beam lane, through
     # the tensor forward kernels (no tape, no dropout)
@@ -476,7 +471,7 @@ class Model:
         no tape."""
         with no_tape():
             tokens = self.embed_image(image).tokens.data
-        return armf_cache_image(tokens, self.layers)
+            return armf_cache_image(tokens, self.layers)
 
     def head_logits(self, x: np.ndarray) -> np.ndarray:
         """(lanes, vocab) logits for (lanes, d) rows."""

@@ -10,8 +10,9 @@ The forward math of the primitives a decode step needs (the counted
 products, layer norm, GELU, row softmax, the embedding gather) lives in
 plain-array kernels, the `*_fwd` functions. The Tensor primitives compute
 their forward through them, and decode steps, which never record a tape,
-call them directly. Inside `no_tape` nothing records, as when decoding runs
-the CNN, whose im2col (`unfold`) takes channels-last (h, w, c) maps.
+call them directly. Inside `no_tape` nothing records, as when a decode
+builds its image cache: the CNN, whose im2col (`unfold`) takes channels-last
+(h, w, c) maps, and each layer's image-only forward.
 """
 
 from __future__ import annotations

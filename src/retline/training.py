@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import decode
-from .data import Vocab, augment, detokenize, tokenize
+from .data import Vocab, augment, tokenize
+from .decode import greedy_decode
 from .metrics import edit_distance
 from .model import Model, TrainContext, teacher_pair, training_loss, _f32
 from .tensor import Tape, backward, scale
@@ -110,9 +110,8 @@ def corpus_rates(model: Model, samples, vocab: Vocab, backend: str | None = None
         backend = "recurrent" if model.config.mixer == "retention" else "kv"
     pairs = []
     for sample in samples:
-        result = decode.beam_search(model, sample.image, beam=1,
-                                    backend=backend)
-        hyp = detokenize(result.tokens, vocab)
+        result = greedy_decode(model, sample.image, backend=backend)
+        hyp = "".join(vocab.id_to_char(t) for t in result.tokens)
         pairs.append((hyp, sample.transcript))
     return transcript_rates(pairs)
 

@@ -22,7 +22,7 @@ from .costmodel import (
     flops_instrumented,
     memory_elements,
 )
-from .decode import beam_search
+from .decode import beam_search, greedy_decode
 from .fusion import ARMFHeadConfig, ARMFProjections, FusionSequence, armf_parallel, marmf_forward
 from .model import Model, ModelConfig, training_loss
 from .retention import (
@@ -348,6 +348,10 @@ def check_backend_equivalence(seed: int = 0, inputs: int = 50,
                 problems.append(f"case {case} beam {beam}: transcripts differ")
             elif abs(rec.score - kv.score) > score_tol:
                 problems.append(f"case {case} beam {beam}: scores differ")
+            if beam == 1:
+                greedy = greedy_decode(model, image)
+                if greedy.tokens != rec.tokens or greedy.score != rec.score:
+                    problems.append(f"case {case}: greedy != beam 1")
     return CheckResult(
         name="decode backend equivalence",
         passed=not problems,

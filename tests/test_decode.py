@@ -13,10 +13,12 @@ from retline.costmodel import memory_elements
 from retline.decode import (
     KVDecodeState,
     beam_search,
+    decode_transcript,
+    greedy_decode,
     kv_reindex,
     write_stats_csv,
 )
-from retline.data import EOS_ID, PAD_ID, SOS_ID, Vocab, detokenize, render_line
+from retline.data import EOS_ID, PAD_ID, SOS_ID, Vocab, render_line
 from retline.fusion import IMAGE_PRIORS
 from retline.model import Model, ModelConfig
 from retline.retention import GAMMA_STRATEGIES
@@ -38,17 +40,23 @@ def toy_image(seed=0, width=24):
 
 
 class TestGreedy:
-    """Greedy decoding is beam search at beam 1."""
+    def test_equals_beam_one(self):
+        model = small_model()
+        img = toy_image(3)
+        g = greedy_decode(model, img)
+        b = beam_search(model, img, beam=1)
+        assert g.tokens == b.tokens
+        assert g.score == b.score
 
     def test_terminates_within_max_len(self):
         model = small_model()
-        out = beam_search(model, toy_image(4), beam=1, max_len=5)
+        out = greedy_decode(model, toy_image(4), max_len=5)
         assert len(out.tokens) <= 5
 
     def test_deterministic(self):
         model = small_model()
-        a = beam_search(model, toy_image(5), beam=1)
-        b = beam_search(model, toy_image(5), beam=1)
+        a = greedy_decode(model, toy_image(5))
+        b = greedy_decode(model, toy_image(5))
         assert a.tokens == b.tokens and a.score == b.score
 
 
@@ -150,8 +158,7 @@ class TestBeam:
     def test_transcript_helper_strips_specials(self):
         model = small_model(seed=13, vocab_size=7)
         vocab = Vocab("abcd")
-        result = beam_search(model, toy_image(14), beam=2)
-        text = detokenize(result.tokens, vocab)
+        text, result = decode_transcript(model, vocab, toy_image(14), beam=2)
         assert len(text) == len(result.tokens)
         assert all(c in "abcd" for c in text)
 

@@ -16,7 +16,7 @@ from retline.model import (
     training_loss,
 )
 from retline.retention import GAMMA_STRATEGIES
-from retline.tensor import Tape, Tensor, backward, sum_all
+from retline.tensor import Tape, Tensor, backward, matmul, sum_all
 
 
 def tiny_config(**overrides):
@@ -153,26 +153,31 @@ class TestTextEmbedding:
 
 
 class TestImageOnlyPass:
-    """`DecoderLayer.advance_image` on plain arrays is bitwise the layer's
-    forward over an image-only sequence, layer after layer. At the toy
-    model's width, strided head stacks in place of contiguous copies change
-    the last bits, so this is the width it is checked at."""
+    """The image cache, built on plain arrays with no tape, holds bitwise the
+    keys and values of the image rows that the parallel forward of an
+    image-only sequence carries from layer to layer."""
 
     @pytest.mark.parametrize("mixer,strategy,prior", [
         ("retention", s, p) for s in GAMMA_STRATEGIES for p in IMAGE_PRIORS
         if s != "gated" or p == "none"  # gated decay rejects image priors
     ] + [("attention", "layerwise", p) for p in ("none", "fixed")])
-    def test_equals_forward_bitwise(self, mixer, strategy, prior):
+    def test_cache_equals_forward_projections(self, mixer, strategy, prior):
         model = Model(tiny_config(layers=3, heads=4, d_model=64, d_ff=128,
                                   cnn_channels=(8, 16, 16), mixer=mixer,
                                   gamma_strategy=strategy, image_prior=prior),
                       seed=3)
-        x = model.embed_image(toy_image(width=44)).tokens
-        for layer in model.layers:
+        image = toy_image(width=44)
+        cache = model.build_image_cache(image)
+        assert len(cache.keys) == len(cache.values) == len(model.layers)
+        x = model.embed_image(image).tokens
+        for i, layer in enumerate(model.layers):
+            proj = layer.projections
+            assert isinstance(cache.keys[i], np.ndarray)
+            assert np.array_equal(cache.keys[i], matmul(x, proj.wk).data), i
+            assert np.array_equal(cache.values[i], matmul(x, proj.wv).data), i
             rows = layer.advance_image(x.data)
             x = layer.forward(FusionSequence(x, x.shape[0], 0), train=None)
-            assert isinstance(rows, np.ndarray)
-            assert np.array_equal(rows, x.data), layer.index
+            assert np.array_equal(rows, x.data), i
 
 
 class TestForward:
