@@ -10,22 +10,22 @@ to its outputs so results reproduce from (config, seed) alone. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
-import numpy as np
-
+from . import decode
 from .checkpoint import load_checkpoint, save_checkpoint
 from .costmodel import beam_memory_summary, sweep_rows, write_sweep_csv
 from .data import (
     DEFAULT_HEIGHT,
     Vocab,
+    detokenize,
     generate_dataset,
     load_manifest,
     render_line,
     tokenize,
 )
-from .decode import decode_transcript, write_stats_csv
 from .maps import dump_maps
 from .model import Model, ModelConfig, teacher_pair
 from .training import (
@@ -73,16 +73,27 @@ CONFIG_DEFAULTS = {
     "val_count": 64,
 }
 
-_BOOL_KEYS = {"augment_train"}
-_INT_KEYS = {
-    "layers", "heads", "d_model", "d_ff", "height", "max_text_len",
-    "max_image_tokens", "epochs", "batch_size", "restart_epochs", "beam",
-    "count", "min_len", "max_len", "val_count",
-}
-_FLOAT_KEYS = {
-    "gamma_subtractor", "tau", "dropout_mix", "dropout_embed", "lr_max",
-    "lr_min", "weight_decay", "label_smoothing",
-}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _channels(spec: str) -> tuple:
+    return tuple(int(c) for c in spec.split(","))
+
+
+def _parse_value(key: str, value: str):
+    """A config value typed like the key's default: booleans take the words
+    of _BOOL_WORDS, and cnn_channels stays text that must list integers."""
+    default = CONFIG_DEFAULTS[key]
+    if isinstance(default, bool):  # bool is an int: test it first
+        if value.lower() not in _BOOL_WORDS:
+            raise ValueError(f"expected a boolean, got {value!r}")
+        return _BOOL_WORDS[value.lower()]
+    if isinstance(default, (int, float)):
+        return type(default)(value)
+    if key == "cnn_channels":
+        _channels(value)
+    return value
 
 
 def load_config(path: str | None) -> dict:
@@ -100,14 +111,10 @@ def load_config(path: str | None) -> dict:
             key, value = key.strip(), value.strip()
             if key not in config:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in _BOOL_KEYS:
-                config[key] = value.lower() in ("1", "true", "yes", "on")
-            elif key in _INT_KEYS:
-                config[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                config[key] = float(value)
-            else:
-                config[key] = value
+            try:
+                config[key] = _parse_value(key, value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return config
 
 
@@ -121,24 +128,10 @@ def echo_config(out_dir: str, config: dict, seed: int) -> None:
 
 
 def model_config_from(config: dict, vocab_size: int) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=vocab_size,
-        max_text_len=config["max_text_len"],
-        layers=config["layers"],
-        heads=config["heads"],
-        d_model=config["d_model"],
-        d_ff=config["d_ff"],
-        mixer=config["mixer"],
-        gamma_strategy=config["gamma_strategy"],
-        gamma_subtractor=config["gamma_subtractor"],
-        tau=config["tau"],
-        image_prior=config["image_prior"],
-        dropout_mix=config["dropout_mix"],
-        dropout_embed=config["dropout_embed"],
-        height=config["height"],
-        cnn_channels=tuple(int(c) for c in str(config["cnn_channels"]).split(",")),
-        max_image_tokens=config["max_image_tokens"],
-    )
+    values = {f.name: config[f.name] for f in dataclasses.fields(ModelConfig)
+              if f.name != "vocab_size"}
+    values["cnn_channels"] = _channels(config["cnn_channels"])
+    return ModelConfig(vocab_size=vocab_size, **values)
 
 
 def parse_range(spec: str) -> list:
@@ -250,15 +243,17 @@ def _cmd_decode(args, config) -> int:
         backend = "recurrent" if model.config.mixer == "retention" else "kv"
     results, lines, pairs = [], [], []
     for sample in ds.samples:
-        text, result = decode_transcript(model, ds.vocab, sample.image,
-                                         beam=beam, backend=backend)
+        result = decode.beam_search(model, sample.image, beam=beam,
+                                    backend=backend)
+        text = detokenize(result.tokens, ds.vocab)
         results.append(result)
         lines.append(f"{sample.sample_id}\t{text}")
         pairs.append((text, sample.transcript))
     out_txt = os.path.join(args.out_dir, "transcripts.txt")
     with open(out_txt, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    write_stats_csv(os.path.join(args.out_dir, "decode_stats.csv"), results)
+    decode.write_stats_csv(os.path.join(args.out_dir, "decode_stats.csv"),
+                           results)
     cer_val, wer_val = transcript_rates(pairs)
     print(f"decoded {len(ds.samples)} lines (beam {beam}, {backend}); "
           f"cer {cer_val:.4f} wer {wer_val:.4f}; wrote {out_txt}")
@@ -267,12 +262,11 @@ def _cmd_decode(args, config) -> int:
 
 def _cmd_dump_maps(args, config) -> int:
     echo_config(args.out_dir, config, args.seed)
-    model = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    if model is None:
-        vocab = Vocab(config["chars"])
-        model = Model(model_config_from(config, vocab.size), seed=args.seed)
+    vocab = Vocab(config["chars"])
+    if args.checkpoint:
+        model = load_checkpoint(args.checkpoint)
     else:
-        vocab = Vocab(config["chars"])
+        model = Model(model_config_from(config, vocab.size), seed=args.seed)
     text = args.text or config["chars"][: min(8, len(config["chars"]))]
     sample = render_line(text, height=model.config.height, seed=args.seed)
     ids = tokenize(text, vocab, model.config.max_text_len)

@@ -115,10 +115,8 @@ def render_line(text: str, height: int = DEFAULT_HEIGHT, seed: int = 0,
     for c in text:
         if not has_glyph(c):
             raise ValueError(f"no glyph for character {c!r}")
-    scale = (height - 2 * _MARGIN) // GLYPH_HEIGHT
-    if scale < 1:
-        raise ValueError(f"line height {height} is too small for the builtin font")
-    advance = (GLYPH_WIDTH + 1) * scale
+    advance = glyph_advance(height)
+    scale = advance // (GLYPH_WIDTH + 1)
     width = 2 * _MARGIN + advance * len(text)
     img = np.zeros((height, width))
     top = (height - GLYPH_HEIGHT * scale) // 2
@@ -137,32 +135,24 @@ def render_line(text: str, height: int = DEFAULT_HEIGHT, seed: int = 0,
 # augmentation
 
 
-def _min_filter3(img: np.ndarray) -> np.ndarray:
+def _windows3(img: np.ndarray) -> np.ndarray:
+    """The nine shifted copies of `img` under a 3x3 window, zero-padded, as
+    one (9, h, w) stack."""
     padded = np.pad(img, 1, mode="constant", constant_values=0.0)
-    stacked = np.stack([
+    return np.stack([
         padded[di:di + img.shape[0], dj:dj + img.shape[1]]
         for di in range(3) for dj in range(3)
     ])
-    return stacked.min(axis=0)
-
-
-def _max_filter3(img: np.ndarray) -> np.ndarray:
-    padded = np.pad(img, 1, mode="constant", constant_values=0.0)
-    stacked = np.stack([
-        padded[di:di + img.shape[0], dj:dj + img.shape[1]]
-        for di in range(3) for dj in range(3)
-    ])
-    return stacked.max(axis=0)
 
 
 def erode(img: np.ndarray) -> np.ndarray:
     """3x3 minimum filter; never increases total foreground mass."""
-    return _min_filter3(img)
+    return _windows3(img).min(axis=0)
 
 
 def dilate(img: np.ndarray) -> np.ndarray:
     """3x3 maximum filter; never decreases total foreground mass."""
-    return _max_filter3(img)
+    return _windows3(img).max(axis=0)
 
 
 def _stretch_width(img: np.ndarray, factor: float) -> np.ndarray:

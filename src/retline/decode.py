@@ -1,4 +1,5 @@
-"""Greedy and beam-search decoding over two memory disciplines.
+"""Beam-search decoding over two memory disciplines; `beam_search` is the
+one way to decode a line, greedy at beam 1.
 
 The recurrent backend carries a fixed-size retention state per (layer, head)
 for every live hypothesis, so its per-step cost and live element count never
@@ -12,14 +13,14 @@ model, which is what the cross-backend equivalence checks exploit. The
 attention twin only supports the kv backend (softmax over text history has
 no recurrent form).
 
-The image cache is built before the first step, with no tape, and held as
-plain float64 arrays. A step runs on plain float64 arrays through the tensor
-module's forward kernels: it records no tape, whatever tape is active, and
-registers the counts of the Tensor primitives. The recurrent backend
-advances each lane's state in place, which is safe because decode owns every
-state array: `fresh` allocates them and `reindex` gathers fresh copies. When
-beam pruning keeps every lane in its place, always so at beam 1, the gather
-is skipped.
+The image cache, one (keys, values) pair of plain float64 arrays per layer,
+is built before the first step with no tape. A step runs on plain float64
+arrays through the tensor module's forward kernels: it records no tape,
+whatever tape is active, and registers the counts of the Tensor primitives.
+The recurrent backend advances each lane's state in place, which is safe
+because decode owns every state array: `fresh` allocates them and `reindex`
+gathers fresh copies. When beam pruning keeps every lane in its place,
+always so at beam 1, the gather is skipped.
 
 Stats rows record, per step: scalar multiply/add counts from the tensor
 instrumentation and the live state elements held by all lanes.
@@ -33,7 +34,7 @@ import numpy as np
 
 from .data import EOS_ID, PAD_ID, SOS_ID
 from .model import Model
-from .tensor import OpCounter, Tensor, count_ops
+from .tensor import OpCounter, Tensor, count_ops, log_softmax_fwd
 
 BACKENDS = ("recurrent", "kv")
 
@@ -90,9 +91,9 @@ def kv_reindex(state: KVDecodeState, parent_indices) -> KVDecodeState:
     arrays (beam pruning cannot reuse the old storage in place)."""
     parents = np.asarray(parent_indices, dtype=np.intp)
     lanes = state.keys[0].shape[0]
-    for p in parents:
-        if not 0 <= p < lanes:
-            raise ValueError(f"parent index {p} out of range for {lanes} lanes")
+    if parents.min() < 0 or parents.max() >= lanes:
+        bad = parents[(parents < 0) | (parents >= lanes)][0]
+        raise ValueError(f"parent index {bad} out of range for {lanes} lanes")
 
     def gather(arrays):
         return [None if a is None else a[parents] for a in arrays]
@@ -114,7 +115,7 @@ def _lane_logits_recurrent(model, state, cache, tokens, position):
     x = model.embed_text_step(tokens, position)
     for li, layer in enumerate(model.layers):
         x, state.states[li] = layer.step_recurrent(x, state.states[li],
-                                                   cache.layer(li))
+                                                   cache[li])
     return model.head_logits(x)
 
 
@@ -125,19 +126,14 @@ def _lane_logits_kv(model, state, cache, tokens, position):
     for li, layer in enumerate(model.layers):
         x, state.keys[li], state.values[li], state.gate_logs[li] = (
             layer.step_kv(x, state.keys[li], state.values[li],
-                          cache.layer(li), state.gate_logs[li]))
+                          cache[li], state.gate_logs[li]))
     return model.head_logits(x)
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 def beam_search(model: Model, image: Tensor, beam: int,
                 max_len: int | None = None,
                 backend: str = "recurrent") -> DecodeResult:
-    """Length-unnormalized beam search.
+    """Length-unnormalized beam search; at beam 1, greedy argmax decoding.
 
     Candidates are ranked by cumulative log-probability with deterministic
     tie-breaking (higher score, then parent order, then smaller token id):
@@ -184,7 +180,7 @@ def beam_search(model: Model, image: Tensor, beam: int,
                                                 step - 1)
             else:
                 logits = _lane_logits_kv(model, state, cache, tokens, step - 1)
-        log_probs = _log_softmax(logits)
+        log_probs = log_softmax_fwd(logits)
         eos_scores = scores + log_probs[:, EOS_ID]
         top = eos_scores.max()
         if top > best_score:
@@ -221,24 +217,6 @@ def beam_search(model: Model, image: Tensor, beam: int,
     # every step finishes its lanes' EOS candidates, so one always exists
     return DecodeResult(tokens=best_tokens, score=best_score,
                         stats=tuple(stats))
-
-
-def greedy_decode(model: Model, image: Tensor,
-                  max_len: int | None = None,
-                  backend: str = "recurrent") -> DecodeResult:
-    """Argmax decoding; identical to beam_search with a single slot, including
-    the smallest-token-id tie break."""
-    return beam_search(model, image, beam=1, max_len=max_len, backend=backend)
-
-
-def decode_transcript(model: Model, vocab, image: Tensor, beam: int = 1,
-                      max_len: int | None = None,
-                      backend: str = "recurrent") -> tuple:
-    """Decode and map ids back to text; returns (transcript, result)."""
-    result = beam_search(model, image, beam=beam, max_len=max_len,
-                         backend=backend)
-    text = "".join(vocab.id_to_char(t) for t in result.tokens)
-    return text, result
 
 
 def write_stats_csv(path, results) -> None:

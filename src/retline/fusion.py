@@ -17,8 +17,9 @@ forward and for `armf_parallel` (H = 1); the attention twin shares its
 Decode steps (`marmf_recurrent_step`) run on plain float64 arrays through
 the tensor module's forward kernels, so they record no tape and build no
 gradient closures, and they advance the retention states in place. The image
-cache (`armf_cache_image`) also holds plain arrays; each layer's image rows
-come from the parallel forward of an image-only sequence.
+cache they read holds one (keys, values) pair of plain (N_I, d) arrays per
+layer; each layer's image rows come from the parallel forward of an
+image-only sequence.
 """
 
 from __future__ import annotations
@@ -256,34 +257,6 @@ def image_prior_gammas(cfg: ARMFHeadConfig, schedule, layer_index: int):
 
 # ---------------------------------------------------------------------------
 # recurrent form
-
-
-@dataclass(frozen=True)
-class ImageKVCache:
-    """Per-layer image keys/values, computed once per input image and shared
-    read-only across every decode lane."""
-
-    keys: tuple
-    values: tuple
-
-    def layer(self, index: int) -> tuple:
-        return self.keys[index], self.values[index]
-
-
-def armf_cache_image(x_img: np.ndarray, layers) -> ImageKVCache:
-    """Project the (N_I, d) image token rows through every layer's K/V
-    weights, on plain arrays. Each element of `layers` exposes `.projections`
-    and, except for the last, `.advance_image(x) -> x_next`, which carries the
-    image rows through the rest of the layer (the image-only forward) to feed
-    the next one."""
-    keys, values = [], []
-    x = x_img
-    for i, layer in enumerate(layers):
-        keys.append(matmul_fwd(x, layer.projections.wk.data))
-        values.append(matmul_fwd(x, layer.projections.wv.data))
-        if i + 1 < len(layers):
-            x = layer.advance_image(x)
-    return ImageKVCache(keys=tuple(keys), values=tuple(values))
 
 
 def softmax_mix(q: np.ndarray, k_t: np.ndarray, v: np.ndarray) -> np.ndarray:

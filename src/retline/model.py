@@ -9,7 +9,8 @@ to image keys, text queries to image plus causal text keys) and decoding
 must carry a growing key/value cache. Both variants share identical
 parameter names and shapes, so they are directly comparable. One
 channels-last CNN embeds the image for training and decoding alike; a decode
-builds its image cache with no tape and keeps it as plain arrays.
+builds its image cache (`Model.build_image_cache`) with no tape, as one
+(keys, values) pair of plain arrays per layer.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .fusion import (
     ARMFProjections,
     FusionSequence,
     IMAGE_PRIORS,
-    ImageKVCache,
-    armf_cache_image,
     image_term,
     marmf_forward,
     marmf_recurrent_step,
@@ -228,13 +227,6 @@ class DecoderLayer:
             hidden = dropout(hidden, cfg.dropout_mix, train.rng)
         ff = add(matmul(hidden, self.pff["pff_w2"]), self.pff["pff_b2"])
         return layer_norm(add(y, ff), self.ln["ln2_gain"], self.ln["ln2_bias"])
-
-    # --- image-only path for cache building (text rows cannot influence it)
-
-    def advance_image(self, x: np.ndarray) -> np.ndarray:
-        """`forward` of an image-only sequence, on plain (N_I, d) rows."""
-        seq = FusionSequence(Tensor._wrap(x, False), x.shape[0], 0)
-        return self.forward(seq, train=None).data
 
     # --- decode paths: one (lanes, d) array row per live beam lane, through
     # the tensor forward kernels (no tape, no dropout)
@@ -466,12 +458,22 @@ class Model:
         text_x = slice_rows(x, n_image, n_image + n_text)
         return add(matmul(text_x, self.params["head_w"]), self.params["head_b"])
 
-    def build_image_cache(self, image: Tensor) -> ImageKVCache:
-        """Per-layer image keys/values, computed once before decoding, with
-        no tape."""
+    def build_image_cache(self, image: Tensor) -> tuple:
+        """Per-layer (keys, values) of the (N_I, d) image rows, computed once
+        before decoding, with no tape, and shared read-only by every decode
+        lane. Each layer's image rows come from the previous layer's forward
+        of an image-only sequence (text rows cannot influence them)."""
+        cache = []
         with no_tape():
-            tokens = self.embed_image(image).tokens.data
-            return armf_cache_image(tokens, self.layers)
+            x = self.embed_image(image).tokens
+            for i, layer in enumerate(self.layers):
+                proj = layer.projections
+                cache.append((matmul_fwd(x.data, proj.wk.data),
+                              matmul_fwd(x.data, proj.wv.data)))
+                if i + 1 < len(self.layers):
+                    x = layer.forward(FusionSequence(x, x.shape[0], 0),
+                                      train=None)
+        return tuple(cache)
 
     def head_logits(self, x: np.ndarray) -> np.ndarray:
         """(lanes, vocab) logits for (lanes, d) rows."""

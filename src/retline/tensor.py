@@ -7,12 +7,12 @@ execution order. Matmuls register their scalar multiply/add counts with any
 active OpCounter, which is what the cost model and decode statistics read.
 
 The forward math of the primitives a decode step needs (the counted
-products, layer norm, GELU, row softmax, the embedding gather) lives in
-plain-array kernels, the `*_fwd` functions. The Tensor primitives compute
-their forward through them, and decode steps, which never record a tape,
-call them directly. Inside `no_tape` nothing records, as when a decode
-builds its image cache: the CNN, whose im2col (`unfold`) takes channels-last
-(h, w, c) maps, and each layer's image-only forward.
+products, layer norm, GELU, row softmax and log-softmax, the embedding
+gather) lives in plain-array kernels, the `*_fwd` functions. The Tensor
+primitives compute their forward through them, and decode steps, which
+never record a tape, call them directly. Inside `no_tape` nothing records,
+as when a decode builds its image cache: the CNN, whose im2col (`unfold`)
+takes channels-last (h, w, c) maps, and each layer's image-only forward.
 """
 
 from __future__ import annotations
@@ -122,6 +122,15 @@ def softmax_fwd(x: np.ndarray) -> np.ndarray:
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     return s
+
+
+def log_softmax_fwd(x: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of a 2-D array, stabilized by row-max
+    subtraction: z - log(sum(exp(z)))."""
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ValueError("log_softmax_rows expects a 2-D tensor")
+    z = x - x.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -557,12 +566,8 @@ def masked_softmax_rows(x: Tensor, allow) -> Tensor:
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
-    if x.data.ndim != 2 or x.shape[1] < 1:
-        raise ValueError("log_softmax_rows expects a 2-D tensor")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    out = Tensor._wrap(z - lse, False)
-    s = np.exp(z - lse)
+    out = Tensor._wrap(log_softmax_fwd(x.data), False)
+    s = np.exp(out.data)
 
     def grad_fn(g):
         return (g - s * g.sum(axis=1, keepdims=True),)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Vocab, augment, tokenize
-from .decode import greedy_decode
+from . import decode
+from .data import Vocab, augment, detokenize, tokenize
 from .metrics import edit_distance
 from .model import Model, TrainContext, teacher_pair, training_loss, _f32
 from .tensor import Tape, backward, scale
@@ -105,14 +105,14 @@ def transcript_rates(pairs):
 
 
 def corpus_rates(model: Model, samples, vocab: Vocab, backend: str | None = None):
-    """Corpus-level CER/WER of greedy transcripts of `samples`."""
+    """Corpus-level CER/WER of greedy (beam 1) transcripts of `samples`."""
     if backend is None:
         backend = "recurrent" if model.config.mixer == "retention" else "kv"
     pairs = []
     for sample in samples:
-        result = greedy_decode(model, sample.image, backend=backend)
-        hyp = "".join(vocab.id_to_char(t) for t in result.tokens)
-        pairs.append((hyp, sample.transcript))
+        result = decode.beam_search(model, sample.image, beam=1,
+                                    backend=backend)
+        pairs.append((detokenize(result.tokens, vocab), sample.transcript))
     return transcript_rates(pairs)
 
 

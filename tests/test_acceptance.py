@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from retline.data import generate_dataset
+from retline.data import detokenize, generate_dataset
 from retline.decode import beam_search
 from retline.maps import collect_maps, sub_diagonal_mass
 from retline.metrics import edit_distance
@@ -106,8 +106,8 @@ def _beam_cer(model, samples, vocab, beam, backend) -> float:
     edits = total = 0
     for sample in samples:
         result = beam_search(model, sample.image, beam=beam, backend=backend)
-        hyp = "".join(vocab.id_to_char(t) for t in result.tokens)
-        edits += edit_distance(hyp, sample.transcript)
+        edits += edit_distance(detokenize(result.tokens, vocab),
+                               sample.transcript)
         total += len(sample.transcript)
     return edits / total
 

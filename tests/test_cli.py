@@ -157,17 +157,22 @@ class TestSubcommands:
                      "--data", str(tmp_path / "nope.tsv")])
         assert code == 1
 
-    @pytest.mark.parametrize("edge", [
-        "heads=0\n",
-        "gamma_strategy=gated\ntau=0\n",
-        "gamma_strategy=gated\ntau=-2\n",
-        "d_model=0\n",
-        "d_ff=0\n",
-        "cnn_channels=0,16,16\n",
+    @pytest.mark.parametrize("edge,names_file", [
+        ("heads=0\n", False),
+        ("gamma_strategy=gated\ntau=0\n", False),
+        ("gamma_strategy=gated\ntau=-2\n", False),
+        ("d_model=0\n", False),
+        ("d_ff=0\n", False),
+        ("cnn_channels=0,16,16\n", False),
+        ("layers=x\n", True),
+        ("tau=abc\n", True),
+        ("cnn_channels=8,a,16\n", True),
+        ("augment_train=maybe\n", True),
     ], ids=["zero_heads", "zero_tau", "negative_tau", "zero_d_model",
-            "zero_d_ff", "zero_cnn_channel"])
+            "zero_d_ff", "zero_cnn_channel", "bad_int", "bad_float",
+            "bad_channel_list", "bad_boolean"])
     def test_config_edge_exits_1_without_traceback(self, tmp_path, capsys,
-                                                   edge):
+                                                   edge, names_file):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("layers=1\nheads=2\nd_model=8\nd_ff=16\nmax_text_len=8\n"
                        "chars=ab\n" + edge)
@@ -176,6 +181,10 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
+        if names_file:
+            # the bad value is on the config's last line
+            lineno = cfg.read_text().count("\n")
+            assert f"{cfg}:{lineno}: " in err
 
     def test_decode_auto_backend_for_attention_checkpoint(self, tmp_path):
         from retline.checkpoint import save_checkpoint

@@ -13,16 +13,15 @@ from retline.costmodel import memory_elements
 from retline.decode import (
     KVDecodeState,
     beam_search,
-    decode_transcript,
-    greedy_decode,
     kv_reindex,
     write_stats_csv,
 )
-from retline.data import EOS_ID, PAD_ID, SOS_ID, Vocab, render_line
+from retline.data import (EOS_ID, PAD_ID, SOS_ID, Vocab, detokenize,
+                          render_line)
 from retline.fusion import IMAGE_PRIORS
 from retline.model import Model, ModelConfig
 from retline.retention import GAMMA_STRATEGIES
-from retline.tensor import Tape, Tensor
+from retline.tensor import Tape, Tensor, log_softmax_fwd
 
 
 def small_model(mixer="retention", seed=1, vocab_size=8):
@@ -40,23 +39,15 @@ def toy_image(seed=0, width=24):
 
 
 class TestGreedy:
-    def test_equals_beam_one(self):
-        model = small_model()
-        img = toy_image(3)
-        g = greedy_decode(model, img)
-        b = beam_search(model, img, beam=1)
-        assert g.tokens == b.tokens
-        assert g.score == b.score
-
     def test_terminates_within_max_len(self):
         model = small_model()
-        out = greedy_decode(model, toy_image(4), max_len=5)
+        out = beam_search(model, toy_image(4), beam=1, max_len=5)
         assert len(out.tokens) <= 5
 
     def test_deterministic(self):
         model = small_model()
-        a = greedy_decode(model, toy_image(5))
-        b = greedy_decode(model, toy_image(5))
+        a = beam_search(model, toy_image(5), beam=1)
+        b = beam_search(model, toy_image(5), beam=1)
         assert a.tokens == b.tokens and a.score == b.score
 
 
@@ -158,7 +149,8 @@ class TestBeam:
     def test_transcript_helper_strips_specials(self):
         model = small_model(seed=13, vocab_size=7)
         vocab = Vocab("abcd")
-        text, result = decode_transcript(model, vocab, toy_image(14), beam=2)
+        result = beam_search(model, toy_image(14), beam=2)
+        text = detokenize(result.tokens, vocab)
         assert len(text) == len(result.tokens)
         assert all(c in "abcd" for c in text)
 
@@ -186,7 +178,7 @@ def loop_beam_search(step_logits, vocab_size, beam, max_len):
         logits = step_logits([t[-1] if t else SOS_ID for t, _ in live],
                              step - 1)
         scores = (np.array([score for _, score in live])[:, None]
-                  + decode._log_softmax(logits)[:, candidate_ids])
+                  + log_softmax_fwd(logits)[:, candidate_ids])
         order = np.argsort(-scores, axis=None, kind="stable")
         lanes, cols = np.divmod(order, candidate_ids.size)
         new_live = []
@@ -480,9 +472,9 @@ class TestCacheAndSearchRecordNothing:
             taped = (model.build_image_cache(image),
                      beam_search(model, image, beam=3, backend=backend))
             assert len(tape) == 0
-        for a, b in zip(plain[0].keys + plain[0].values,
-                        taped[0].keys + taped[0].values):
-            np.testing.assert_array_equal(a, b)
+        for a, b in zip(plain[0], taped[0]):
+            np.testing.assert_array_equal(a[0], b[0])
+            np.testing.assert_array_equal(a[1], b[1])
         assert plain[1].tokens == taped[1].tokens
         assert plain[1].score.hex() == taped[1].score.hex()
         assert plain[1].stats == taped[1].stats
@@ -552,8 +544,13 @@ class TestKvReindex:
         np.testing.assert_array_equal(out.keys[0][2], state.keys[0][0])
 
     def test_out_of_range_parent_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="parent index 3 "):
             kv_reindex(self.lanes(), [3])
+
+    def test_negative_parent_rejected(self):
+        # a negative index would otherwise gather from the end
+        with pytest.raises(ValueError, match="parent index -1 "):
+            kv_reindex(self.lanes(), [0, -1])
 
 
 TOY_WEIGHTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",

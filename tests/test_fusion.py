@@ -10,7 +10,6 @@ from retline.fusion import (
     ARMFHeadConfig,
     ARMFProjections,
     FusionSequence,
-    armf_cache_image,
     armf_parallel,
     build_armf_mask,
     marmf_forward,
@@ -265,57 +264,6 @@ class TestStepCosts:
                 )
             counts.add((counter.mults, counter.adds))
         assert len(counts) == 1
-
-
-class TestCache:
-    def test_identity_projection_returns_input(self):
-        rng = np.random.default_rng(11)
-        x_img = rng.standard_normal((4, 5))
-        layer = SimpleNamespace(
-            projections=ARMFProjections(
-                Tensor(np.eye(5)), Tensor(np.eye(5)), Tensor(np.eye(5)),
-                Tensor(np.eye(5)),
-            )
-        )
-        cache = armf_cache_image(x_img, [layer])
-        np.testing.assert_array_equal(cache.keys[0], x_img)
-        np.testing.assert_array_equal(cache.values[0], x_img)
-
-    def test_cache_matches_parallel_slices(self):
-        rng = np.random.default_rng(12)
-        d = 6
-        proj = make_proj(d, rng)
-        x = rng.standard_normal((7, d))
-        layer = SimpleNamespace(projections=proj)
-        cache = armf_cache_image(x[:3], [layer])
-        np.testing.assert_allclose(cache.keys[0], (x[:3] @ proj.wk.data), atol=0)
-        np.testing.assert_allclose(cache.values[0], (x[:3] @ proj.wv.data), atol=0)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(13)
-        proj = make_proj(4, rng)
-        x_img = rng.standard_normal((3, 4))
-        layer = SimpleNamespace(projections=proj)
-        c1 = armf_cache_image(x_img, [layer])
-        c2 = armf_cache_image(x_img, [layer])
-        np.testing.assert_array_equal(c1.keys[0], c2.keys[0])
-        np.testing.assert_array_equal(c1.values[0], c2.values[0])
-
-    def test_multi_layer_uses_advance(self):
-        rng = np.random.default_rng(14)
-        d = 4
-        p1, p2 = make_proj(d, rng), make_proj(d, rng)
-        shift = rng.standard_normal((1, d))
-
-        layer1 = SimpleNamespace(
-            projections=p1, advance_image=lambda x: x + shift
-        )
-        layer2 = SimpleNamespace(projections=p2)
-        x_img = rng.standard_normal((3, d))
-        cache = armf_cache_image(x_img, [layer1, layer2])
-        np.testing.assert_allclose(
-            cache.keys[1], (x_img + shift) @ p2.wk.data, atol=1e-15
-        )
 
 
 class TestMultiHead:
