@@ -177,12 +177,12 @@ def _cmd_bench_memory(args, config) -> int:
     note_path = os.path.join(args.out_dir, "memory_summary.txt")
     with open(note_path, "w", encoding="utf-8") as fh:
         fh.write(
-            f"recurrent per-layer elements (B=10, d=768, H=12): "
-            f"{summary['recurrent_elements']:,}\n"
-            f"kv persistent per-layer elements (B=10, N=94, d=768): "
-            f"{summary['kv_persistent_elements']:,}\n"
-            f"kv peak per-layer elements: {summary['kv_peak_elements']:,}\n"
-            f"{summary['note']}\n"
+            "recurrent per-layer elements (B={beam}, d={d}, H={heads}): "
+            "{recurrent_elements:,}\n"
+            "kv persistent per-layer elements (B={beam}, N={decoded}, d={d}): "
+            "{kv_persistent_elements:,}\n"
+            "kv peak per-layer elements: {kv_peak_elements:,}\n"
+            "{note}\n".format(**summary)
         )
     print(f"wrote {len(rows)} rows to {path} and summary to {note_path}")
     return 0

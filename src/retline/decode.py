@@ -4,10 +4,10 @@ one way to decode a line, greedy at beam 1.
 The recurrent backend carries a fixed-size retention state per (layer, head)
 for every live hypothesis, so its per-step cost and live element count never
 change as the transcript grows. The kv backend carries the growing per-layer
-text key/value history instead, gathering (reindexing) it whenever beam
-pruning reorders hypotheses and reallocating on every append; its per-step
-cost and footprint grow with decoded length. Either way the live lanes are
-stacked on a leading axis and advance together, one batched call per step.
+text key/value history instead, reallocating it on every append; its
+per-step cost and footprint grow with decoded length. Either way the live
+lanes are stacked on a leading axis and advance together, one batched call
+per step.
 Both compute exactly the same next-token distributions for a retention
 model, which is what the cross-backend equivalence checks exploit. The
 attention twin only supports the kv backend (softmax over text history has
@@ -19,8 +19,9 @@ arrays through the tensor module's forward kernels: it records no tape,
 whatever tape is active, and registers the counts of the Tensor primitives.
 The recurrent backend advances each lane's state in place, which is safe
 because decode owns every state array: `fresh` allocates them and `reindex`
-gathers fresh copies. When beam pruning keeps every lane in its place,
-always so at beam 1, the gather is skipped.
+gathers fresh copies. Either backend's state gathers (reindexes) its lanes
+by parent whenever beam pruning moves hypotheses; when pruning keeps every
+lane in its place, always so at beam 1, the gather is skipped.
 
 Stats rows record, per step: scalar multiply/add counts from the tensor
 instrumentation and the live state elements held by all lanes.
@@ -84,6 +85,9 @@ class KVDecodeState:
     def live_elements(self) -> int:
         return sum(k.size + v.size for k, v in zip(self.keys, self.values)
                    if k is not None)
+
+    def reindex(self, parents) -> "KVDecodeState":
+        return kv_reindex(self, parents)
 
 
 def kv_reindex(state: KVDecodeState, parent_indices) -> KVDecodeState:
@@ -157,10 +161,12 @@ def beam_search(model: Model, image: Tensor, beam: int,
         raise ValueError("max_len must be at least 1")
     cache = model.build_image_cache(image)
 
+    # looked up per call, so that patched module attributes take effect
     if backend == "recurrent":
-        state = RecurrentDecodeState.fresh(model.config)
+        state_cls, lane_logits = RecurrentDecodeState, _lane_logits_recurrent
     else:
-        state = KVDecodeState.fresh(model.config)
+        state_cls, lane_logits = KVDecodeState, _lane_logits_kv
+    state = state_cls.fresh(model.config)
     # the live lanes: cumulative scores, token histories, last tokens
     scores = np.zeros(1)
     histories = [()]
@@ -175,11 +181,7 @@ def beam_search(model: Model, image: Tensor, beam: int,
     for step in range(1, max_len + 1):
         counter = OpCounter()
         with count_ops(counter):
-            if backend == "recurrent":
-                logits = _lane_logits_recurrent(model, state, cache, tokens,
-                                                step - 1)
-            else:
-                logits = _lane_logits_kv(model, state, cache, tokens, step - 1)
+            logits = lane_logits(model, state, cache, tokens, step - 1)
         log_probs = log_softmax_fwd(logits)
         eos_scores = scores + log_probs[:, EOS_ID]
         top = eos_scores.max()
@@ -194,9 +196,7 @@ def beam_search(model: Model, image: Tensor, beam: int,
         # (the flattened order is parent-major, and the sort is stable)
         order = np.argsort(-scores, axis=None, kind="stable")[:beam]
         parents, cols = np.divmod(order, candidate_ids.size)
-        if backend == "kv":
-            state = kv_reindex(state, parents)
-        elif not np.array_equal(parents, np.arange(len(histories))):
+        if not np.array_equal(parents, np.arange(len(histories))):
             # skipped when every lane stays in its place, as always at beam 1
             state = state.reindex(parents)
         scores = scores.ravel()[order]

@@ -51,7 +51,6 @@ from .tensor import (
     normalize_rows,
     permute,
     reshape,
-    scale,
     slice_cols,
     slice_rows,
     softmax_fwd,
@@ -126,7 +125,7 @@ def build_armf_mask(n_image: int, n_text: int, gamma) -> np.ndarray:
     zeros = np.zeros(np.shape(gamma) + (n_image, n_text))
     if n_text == 0:
         return zeros
-    return np.concatenate([zeros, build_decay(n_text, gamma).entries], axis=-2)
+    return np.concatenate([zeros, build_decay(n_text, gamma)], axis=-2)
 
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
@@ -143,7 +142,7 @@ def merge_heads(x: Tensor) -> Tensor:
 
 def scaled_scores(q: Tensor, k: Tensor) -> Tensor:
     """(H, N, N) query-key scores of every head, scaled by 1/sqrt(d_head)."""
-    return scale(bmatmul(q, permute(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[2]))
+    return mul_const(bmatmul(q, permute(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[2]))
 
 
 def _gated_text_decay(gates: Tensor, n_image: int) -> Tensor:
@@ -171,7 +170,7 @@ def mixing_weights(q: Tensor, k: Tensor, n_image: int, decay,
     n = dots.shape[1]
     img = softmax_rows(slice_cols(dots, 0, n_image))
     if prior_gamma is not None:
-        prior = build_decay_bidirectional(n_image, prior_gamma).entries
+        prior = build_decay_bidirectional(n_image, prior_gamma)
         img_rows = normalize_rows(mul_const(slice_rows(img, 0, n_image), prior))
         img = img_rows if n == n_image else concat_rows(
             [img_rows, slice_rows(img, n_image, n)])

@@ -55,7 +55,6 @@ from .tensor import (
     no_tape,
     permute,
     reshape,
-    scale_rows,
     slice_rows,
     sum_all,
     unfold,
@@ -130,25 +129,6 @@ def _f32(arr: np.ndarray) -> np.ndarray:
     # parameters live as float64 values that are exactly float32-representable,
     # so the float32 checkpoint blob round-trips bitwise
     return arr.astype(np.float32).astype(np.float64)
-
-
-@dataclass(frozen=True)
-class ImageFeature:
-    """Visual feature map folded into a token sequence: one token per feature
-    column, projected to model width, with learned positions added."""
-
-    feature_shape: tuple  # (channels, rows, columns) before folding
-    tokens: Tensor        # (columns, d_model)
-
-    @property
-    def count(self) -> int:
-        return self.tokens.shape[0]
-
-
-@dataclass(frozen=True)
-class TextBatch:
-    ids: np.ndarray
-    tokens: Tensor  # (len, d_model) embeddings plus sinusoidal positions
 
 
 def attention_allow(n_image: int, n_text: int) -> np.ndarray:
@@ -389,7 +369,9 @@ class Model:
             w = (w - 1) // sw + 1
         return w
 
-    def embed_image(self, image: Tensor, train: TrainContext | None = None) -> ImageFeature:
+    def embed_image(self, image: Tensor, train: TrainContext | None = None) -> Tensor:
+        """(columns, d_model) image tokens: one per column of the CNN's last
+        feature map, projected to model width, with learned positions added."""
         cfg = self.config
         if image.data.ndim != 3 or image.shape[0] != 1:
             raise ValueError("expected a (1, h, w) grayscale image")
@@ -415,9 +397,10 @@ class Model:
         tokens = add(tokens, slice_rows(self.params["img_pos"], 0, wv))
         if train is not None:
             tokens = dropout(tokens, cfg.dropout_embed, train.rng)
-        return ImageFeature(feature_shape=(c, hv, wv), tokens=tokens)
+        return tokens
 
-    def embed_text(self, ids, train: TrainContext | None = None) -> TextBatch:
+    def embed_text(self, ids, train: TrainContext | None = None) -> Tensor:
+        """(len, d_model) character embeddings plus sinusoidal positions."""
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 1:
             raise ValueError("expected a flat id sequence")
@@ -428,7 +411,7 @@ class Model:
         tokens = add(emb, Tensor._wrap(pe, False))
         if train is not None:
             tokens = dropout(tokens, self.config.dropout_embed, train.rng)
-        return TextBatch(ids=ids, tokens=tokens)
+        return tokens
 
     def embed_text_step(self, token_ids, position: int) -> np.ndarray:
         """One (lanes, d) row per lane's token, all at the same position."""
@@ -450,9 +433,8 @@ class Model:
         if ids.size == 0:
             raise ValueError("training forward needs at least one text token")
         img = self.embed_image(image, train)
-        txt = self.embed_text(ids, train)
-        x = concat_rows([img.tokens, txt.tokens])
-        n_image, n_text = img.count, ids.size
+        x = concat_rows([img, self.embed_text(ids, train)])
+        n_image, n_text = img.shape[0], ids.size
         for layer in self.layers:
             x = layer.forward(FusionSequence(x, n_image, n_text), train, capture)
         text_x = slice_rows(x, n_image, n_image + n_text)
@@ -465,7 +447,7 @@ class Model:
         of an image-only sequence (text rows cannot influence them)."""
         cache = []
         with no_tape():
-            x = self.embed_image(image).tokens
+            x = self.embed_image(image)
             for i, layer in enumerate(self.layers):
                 proj = layer.projections
                 cache.append((matmul_fwd(x.data, proj.wk.data),
@@ -503,7 +485,7 @@ def training_loss(logits: Tensor, targets, epsilon: float = 0.4) -> Tensor:
     smooth[np.arange(n), targets] += 1.0 - epsilon
     logp = log_softmax_rows(logits)
     per_pos = mul_const(logp, -smooth / valid)
-    return sum_all(scale_rows(per_pos, mask.astype(np.float64)))
+    return sum_all(mul_const(per_pos, mask[:, None]))
 
 
 def teacher_pair(tokens: np.ndarray) -> tuple:

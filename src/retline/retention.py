@@ -1,9 +1,12 @@
 """Retention operators: decay priors, gamma schedules, parallel and recurrent forms.
 
-The decay matrix weights pairwise query/key scores by powers of a factor
-gamma in (0,1), replacing softmax for causal token mixing. The same operator
-admits an exactly equivalent recurrent form driven by a fixed-size state,
-which is what makes constant-memory decoding possible. Schedules assign a
+The decay matrix (RetNet's D) weights pairwise query/key scores by powers of
+a factor gamma in (0,1), replacing softmax for causal token mixing. The
+builders return it as a plain array with entries in [0, 1]: lower-triangular
+for the causal and gated kinds, symmetric for the bidirectional kind, and an
+(H, n, n) stack when built from one gamma per head. The same operator admits
+an exactly equivalent recurrent form driven by a fixed-size state, which is
+what makes constant-memory decoding possible. Schedules assign a
 gamma per (layer, head); the layer-wise schedule grows gamma with depth so
 shallow layers stay local and deep layers integrate long-range context.
 """
@@ -15,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor import Tensor, matmul, mul_const, pow_const, rotate_pairs, sigmoid, transpose
+from .tensor import Tensor, matmul, mul_const, permute, pow_const, rotate_pairs, sigmoid
 
 GAMMA_STRATEGIES = ("original", "gated", "small_gamma", "headwise", "layerwise")
 
@@ -24,21 +27,6 @@ DEFAULT_GATE_TEMPERATURE = 16.0
 
 _LOG_LO = np.log(1.0 / 32.0)
 _LOG_HI = np.log(1.0 / 512.0)
-
-
-@dataclass(frozen=True)
-class DecayMatrix:
-    """Pairwise decay weights; lower-triangular for causal kinds, symmetric
-    for the bidirectional kind. Entries all lie in [0, 1]. Built from one
-    gamma per head, the entries are an (H, n, n) stack."""
-
-    n: int
-    entries: np.ndarray
-    kind: str  # causal | gated | bidirectional
-
-    def __post_init__(self):
-        if self.entries.shape[-2:] != (self.n, self.n):
-            raise ValueError("decay entries must be n x n")
 
 
 def _check_gamma(gamma) -> np.ndarray:
@@ -50,18 +38,17 @@ def _check_gamma(gamma) -> np.ndarray:
     return gamma[..., None, None]
 
 
-def build_decay(n: int, gamma) -> DecayMatrix:
+def build_decay(n: int, gamma) -> np.ndarray:
     """Causal decay: entry (i, j) = gamma^(i-j) for i >= j, zero above."""
     if n < 1:
         raise ValueError("sequence length must be at least 1")
     gamma = _check_gamma(gamma)
     idx = np.arange(n)
     power = idx[:, None] - idx[None, :]
-    entries = np.tril(gamma ** np.maximum(power, 0))
-    return DecayMatrix(n=n, entries=entries, kind="causal")
+    return np.tril(gamma ** np.maximum(power, 0))
 
 
-def build_decay_gated(gammas) -> DecayMatrix:
+def build_decay_gated(gammas) -> np.ndarray:
     """Product-form decay from per-position gates: entry (i, j) multiplies the
     gates of positions j+1 .. i, evaluated as exp(L_i - L_j) over the
     cumulative log-gates L. Gates are typically sigmoid(x W)^(1/tau)."""
@@ -72,18 +59,16 @@ def build_decay_gated(gammas) -> DecayMatrix:
         raise ValueError("every gate must lie strictly inside (0, 1)")
     cum = np.cumsum(np.log(g))
     tril = np.tril(np.ones((g.size, g.size)))
-    entries = np.exp((cum[:, None] - cum[None, :]) * tril) * tril
-    return DecayMatrix(n=g.size, entries=entries, kind="gated")
+    return np.exp((cum[:, None] - cum[None, :]) * tril) * tril
 
 
-def build_decay_bidirectional(n: int, gamma) -> DecayMatrix:
+def build_decay_bidirectional(n: int, gamma) -> np.ndarray:
     """Symmetric decay over index distance: entry (i, j) = gamma^|i-j|."""
     if n < 1:
         raise ValueError("sequence length must be at least 1")
     gamma = _check_gamma(gamma)
     idx = np.arange(n)
-    entries = gamma ** np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
-    return DecayMatrix(n=n, entries=entries, kind="bidirectional")
+    return gamma ** np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +180,16 @@ def default_theta(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseConfig:
-    """Per-position rotations applied to queries and keys. Rotation by the
-    token's own position makes scores depend only on relative offsets, and
-    preserves vector norms exactly."""
+    """Per-position rotations applied to queries and keys, at the
+    default_theta frequencies. Rotation by the token's own position makes
+    scores depend only on relative offsets, and preserves vector norms
+    exactly."""
 
     enabled: bool = True
-    theta: np.ndarray | None = None
 
     def angles(self, positions, d: int) -> np.ndarray:
-        theta = self.theta if self.theta is not None else default_theta(d)
-        if theta.shape != (d // 2,):
-            raise ValueError("theta must have one frequency per coordinate pair")
         pos = np.asarray(positions, dtype=np.float64)
-        return pos[:, None] * theta[None, :]
+        return pos[:, None] * default_theta(d)[None, :]
 
 
 def apply_phases(x: Tensor, positions, phases: PhaseConfig) -> Tensor:
@@ -242,16 +224,17 @@ def retention_parallel(
     wq: Tensor,
     wk: Tensor,
     wv: Tensor,
-    decay: DecayMatrix,
+    decay: np.ndarray,
     phases: PhaseConfig | None = None,
 ) -> Tensor:
-    """Parallel form: (Q K^T elementwise decay) V over the whole sequence.
+    """Parallel form: (Q K^T elementwise decay) V over the whole sequence,
+    for an (n, n) decay matrix.
 
     Phases default to enabled, rotating Q and K by position before scoring.
     """
     n = x.shape[0]
-    if decay.n != n:
-        raise ValueError(f"decay built for length {decay.n}, sequence has {n}")
+    if decay.shape != (n, n):
+        raise ValueError(f"decay of shape {decay.shape} for a sequence of {n}")
     if phases is None:
         phases = PhaseConfig(enabled=True)
     q = matmul(x, wq)
@@ -260,7 +243,7 @@ def retention_parallel(
     positions = np.arange(1, n + 1)
     q = apply_phases(q, positions, phases)
     k = apply_phases(k, positions, phases)
-    scores = mul_const(matmul(q, transpose(k)), decay.entries)
+    scores = mul_const(matmul(q, permute(k, (1, 0))), decay)
     return matmul(scores, v)
 
 
@@ -281,7 +264,7 @@ def retention_recurrent_step(
     d = q_n.shape[1]
     if state.s.shape != (d, d):
         raise ValueError(f"state shape {state.s.shape} does not match d={d}")
-    kv = matmul(transpose(k_n), v_n)
+    kv = matmul(permute(k_n, (1, 0)), v_n)
     s_new = gamma * state.s + kv.data
     out = matmul(q_n, Tensor._wrap(s_new, False))
     return out, RetentionState(s=s_new, step=state.step + 1)

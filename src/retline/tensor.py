@@ -13,6 +13,10 @@ primitives compute their forward through them, and decode steps, which
 never record a tape, call them directly. Inside `no_tape` nothing records,
 as when a decode builds its image cache: the CNN, whose im2col (`unfold`)
 takes channels-last (h, w, c) maps, and each layer's image-only forward.
+
+Each operation has one primitive: a product with any constant is
+`mul_const`, any transpose is `permute`, and `central_differences` is the one
+finite-difference loop.
 """
 
 from __future__ import annotations
@@ -144,11 +148,11 @@ def gelu_fwd(x: np.ndarray) -> tuple:
     return x * phi_cdf, phi_cdf
 
 
-def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                   eps: float = LAYERNORM_EPS) -> tuple:
+def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple:
     """Normalize each trailing-dim vector to zero mean / unit variance, then
-    apply the affine gain and bias; eps sits inside the square root. Returns
-    the output, the normalized input and the inverse standard deviations."""
+    apply the affine gain and bias; LAYERNORM_EPS sits inside the square root.
+    Returns the output, the normalized input and the inverse standard
+    deviations."""
     d = x.shape[-1] if x.ndim else 0
     if d == 0:
         raise ValueError("layer_norm: trailing extent must be nonzero")
@@ -158,7 +162,7 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     mu = x.sum(axis=-1, keepdims=True) / d
     xc = x - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = xc * inv
     return xhat * gain + bias, xhat, inv
 
@@ -215,9 +219,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor._wrap(self.data, False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         rg = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{rg})"
@@ -232,13 +233,13 @@ class Tensor:
     def __mul__(self, other):
         if isinstance(other, Tensor):
             return mul(self, other)
-        return scale(self, float(other))
+        return mul_const(self, float(other))
 
     def __rmul__(self, other):
-        return scale(self, float(other))
+        return mul_const(self, float(other))
 
     def __neg__(self):
-        return scale(self, -1.0)
+        return mul_const(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -375,17 +376,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul_const(a: Tensor, c) -> Tensor:
-    """Elementwise product with a constant array (no gradient into c)."""
+    """Elementwise product with a constant scalar or array (no gradient into c)."""
     c = np.asarray(c, dtype=np.float64)
-    out = Tensor._wrap(a.data * c, False)
-
-    def grad_fn(g):
-        return (g * c,)
-
-    return _record(out, (a,), grad_fn)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor._wrap(a.data * c, False)
 
     def grad_fn(g):
@@ -416,17 +408,6 @@ def bmatmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _record(out, (a, b), grad_fn)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError("transpose expects a 2-D tensor")
-    out = Tensor._wrap(np.ascontiguousarray(a.data.T), False)
-
-    def grad_fn(g):
-        return (np.ascontiguousarray(g.T),)
-
-    return _record(out, (a,), grad_fn)
 
 
 def permute(a: Tensor, axes: tuple) -> Tensor:
@@ -504,29 +485,6 @@ def sum_all(a: Tensor) -> Tensor:
 
     def grad_fn(g):
         return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _record(out, (a,), grad_fn)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = Tensor._wrap(np.asarray(a.data.sum() / n), False)
-
-    def grad_fn(g):
-        return (np.broadcast_to(g / n, a.shape).copy(),)
-
-    return _record(out, (a,), grad_fn)
-
-
-def scale_rows(a: Tensor, weights) -> Tensor:
-    """Multiply each row by a constant per-row weight (no gradient into weights)."""
-    w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
-    if a.data.ndim != 2 or w.shape[0] != a.shape[0]:
-        raise ValueError("scale_rows expects (n,d) tensor and n weights")
-    out = Tensor._wrap(a.data * w, False)
-
-    def grad_fn(g):
-        return (g * w,)
 
     return _record(out, (a,), grad_fn)
 
@@ -662,10 +620,10 @@ def pow_const(x: Tensor, p: float) -> Tensor:
     return _record(out, (x,), grad_fn)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each trailing-dim vector to zero mean / unit variance, then
-    apply the affine gain and bias. eps sits inside the square root."""
-    y, xhat, inv = layer_norm_fwd(x.data, gain.data, bias.data, eps)
+    apply the affine gain and bias (see layer_norm_fwd)."""
+    y, xhat, inv = layer_norm_fwd(x.data, gain.data, bias.data)
     d = y.shape[-1]
     out = Tensor._wrap(y, False)
 
@@ -778,6 +736,30 @@ def unfold(x: Tensor, kernel: int, stride: tuple, pad: int):
 # verification
 
 
+def central_differences(flat: np.ndarray, analytic: np.ndarray, value,
+                        h: float, floor: float, stride: int = 1) -> tuple:
+    """Worst error of `analytic` against central differences of the scalar
+    `value()` over every stride-th coordinate of `flat` (a view of what
+    `value` reads, perturbed in place), relative to max(|numeric|,
+    |analytic|, floor), and its index (-1 when every error is 0)."""
+    worst, where = 0.0, -1
+    for i in range(0, flat.size, stride):
+        keep = flat[i]
+        flat[i] = keep + h
+        fp = value()
+        flat[i] = keep - h
+        fm = value()
+        flat[i] = keep
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise ValueError("finite differences: function value is not finite")
+        numeric = (fp - fm) / (2.0 * h)
+        err = (abs(numeric - analytic[i])
+               / max(abs(numeric), abs(analytic[i]), floor))
+        if err > worst:
+            worst, where = err, i
+    return worst, where
+
+
 def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
     """Worst relative error between backward() and central finite differences
     of the scalar-valued f over every coordinate of x. Relative error uses an
@@ -797,20 +779,6 @@ def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
     analytic = np.zeros(x.shape) if x.grad is None else x.grad.copy()
     x.grad = None
     x.requires_grad = was_rg
-
-    worst = 0.0
-    flat = x.data.reshape(-1)
-    ana = analytic.reshape(-1)
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + h
-        fp = f(x).item()
-        flat[i] = keep - h
-        fm = f(x).item()
-        flat[i] = keep
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError("grad_check: function value is not finite")
-        numeric = (fp - fm) / (2.0 * h)
-        denom = max(abs(numeric), abs(ana[i]), 1e-8)
-        worst = max(worst, abs(numeric - ana[i]) / denom)
-    return worst
+    x.data = np.ascontiguousarray(x.data)  # so its flat view below is no copy
+    return central_differences(x.data.reshape(-1), analytic.reshape(-1),
+                               lambda: f(x).item(), h, 1e-8)[0]

@@ -17,9 +17,12 @@ from . import decode
 from .data import Vocab, augment, detokenize, tokenize
 from .metrics import edit_distance
 from .model import Model, TrainContext, teacher_pair, training_loss, _f32
-from .tensor import Tape, backward, scale
+from .tensor import Tape, backward, mul_const
 
 METRICS_COLUMNS = ("epoch", "step", "lr", "loss", "val_cer", "val_wer")
+
+# Adam's moment decays and denominator epsilon (its published defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -31,9 +34,6 @@ class OptimizerSettings:
     lr_max: float = 1e-4
     lr_min: float = 1e-6
     weight_decay: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     restart_epochs: int = 5
 
 
@@ -66,17 +66,17 @@ class AdamW:
         if lr == 0.0:
             return
         self.t += 1
-        s = self.s
-        bias1 = 1.0 - s.beta1 ** self.t
-        bias2 = 1.0 - s.beta2 ** self.t
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        bias1 = 1.0 - b1 ** self.t
+        bias2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
-            m = self.m[name] = s.beta1 * self.m[name] + (1 - s.beta1) * g
-            v = self.v[name] = s.beta2 * self.v[name] + (1 - s.beta2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + s.eps)
-            p.data = _f32(p.data - lr * (update + s.weight_decay * p.data))
+            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+            p.data = _f32(p.data - lr * (update + self.s.weight_decay * p.data))
 
 
 def cosine_lr(epoch: int, opt: OptimizerSettings) -> float:
@@ -154,7 +154,7 @@ def train(model: Model, train_samples, val_samples, vocab: Vocab,
                                            train=TrainContext(rng=dropout_rng))
                     loss = training_loss(logits, targets,
                                          epsilon=settings.label_smoothing)
-                    backward(scale(loss, 1.0 / len(batch)))
+                    backward(mul_const(loss, 1.0 / len(batch)))
                 batch_loss += loss.item() / len(batch)
             if not np.isfinite(batch_loss):
                 raise TrainingDiverged(

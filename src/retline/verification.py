@@ -33,7 +33,7 @@ from .retention import (
     retention_parallel,
     retention_recurrent,
 )
-from .tensor import Tape, Tensor, backward, slice_rows, sum_all
+from .tensor import Tape, Tensor, backward, central_differences, slice_rows, sum_all
 
 EQUIV_GAMMAS = (0.1, 0.5, 0.96875)
 
@@ -241,23 +241,13 @@ def gradient_check_model(seed: int = 0, tolerance: float = 1e-4,
         loss = training_loss(logits, targets, epsilon=0.1)
         backward(loss)
 
-    h = 1e-5
     worst, worst_name = 0.0, ""
     for name, p in model.params.items():
         analytic = np.zeros(p.shape) if p.grad is None else p.grad
-        flat = p.data.reshape(-1)
-        ana = analytic.reshape(-1)
-        for i in range(0, flat.size, stride):
-            keep = flat[i]
-            flat[i] = keep + h
-            fp = loss_value()
-            flat[i] = keep - h
-            fm = loss_value()
-            flat[i] = keep
-            numeric = (fp - fm) / (2 * h)
-            err = abs(numeric - ana[i]) / max(abs(numeric), abs(ana[i]), floor)
-            if err > worst:
-                worst, worst_name = err, f"{name}[{i}]"
+        err, i = central_differences(p.data.reshape(-1), analytic.reshape(-1),
+                                     loss_value, 1e-5, floor, stride)
+        if err > worst:
+            worst, worst_name = err, f"{name}[{i}]"
         p.grad = None
     return worst, worst_name, tolerance
 
@@ -320,7 +310,7 @@ def check_structural(seed: int = 0, trials: int = 100) -> CheckResult:
             problems.append(f"softmax rows trial {trial}")
         if trial == 0:
             mask_rows = (dots[n_image:, n_image:]
-                         * build_decay(n_text, gamma).entries).sum(axis=1)
+                         * build_decay(n_text, gamma)).sum(axis=1)
             if np.all(np.abs(mask_rows - 1.0) < 1e-6):
                 problems.append("text rows unexpectedly normalized")
     return CheckResult(

@@ -414,8 +414,7 @@ class TestStepRecordsNothing:
             step = decode._lane_logits_kv
         rows = [step(model, state, cache, [SOS_ID], 0)]
         # two lanes from here on, both children of the first
-        state = (state.reindex([0, 0]) if backend == "recurrent"
-                 else kv_reindex(state, [0, 0]))
+        state = state.reindex([0, 0])
         for position, tokens in enumerate(([3, 4], [5, 3], [4, 4]), 1):
             rows.append(step(model, state, cache, tokens, position))
         return rows
@@ -551,6 +550,22 @@ class TestKvReindex:
         # a negative index would otherwise gather from the end
         with pytest.raises(ValueError, match="parent index -1 "):
             kv_reindex(self.lanes(), [0, -1])
+
+    def test_beam_search_gathers_only_moved_lanes(self, monkeypatch):
+        calls = []
+
+        def counting(state, parents):
+            calls.append(list(parents))
+            return kv_reindex(state, parents)
+
+        monkeypatch.setattr(decode, "kv_reindex", counting)
+        model, image = small_model(), toy_image()
+        beam_search(model, image, beam=1, backend="kv")
+        assert calls == []
+        beam_search(model, image, beam=3, backend="kv")
+        assert calls
+        # three lanes from the first step on: no gather keeps them in place
+        assert all(p != [0, 1, 2] for p in calls)
 
 
 TOY_WEIGHTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",

@@ -24,8 +24,8 @@ def recomputed_maps(model, image, ids):
     rebuild every head's (scores, decay) from q and k."""
     cfg = model.config
     img, txt = model.embed_image(image), model.embed_text(ids)
-    n_image, n_text = img.count, len(ids)
-    x = concat_rows([img.tokens, txt.tokens])
+    n_image, n_text = img.shape[0], len(ids)
+    x = concat_rows([img, txt])
     dh = cfg.d_head
     layers = []
     for layer in model.layers:
@@ -45,7 +45,7 @@ def recomputed_maps(model, image, ids):
                 heads.append(((e / e.sum(axis=1, keepdims=True))[n_image:], None))
                 continue
             if cfg.gamma_strategy == "gated":
-                decay = build_decay_gated(gates[:, h]).entries
+                decay = build_decay_gated(gates[:, h])
             else:
                 gamma = model.schedule.layer_values(layer.index)[h]
                 decay = build_armf_mask(n_image, n_text, gamma)[n_image:]

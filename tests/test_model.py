@@ -59,24 +59,22 @@ class TestConfig:
 class TestImageEmbedding:
     def test_feature_shape_contract(self):
         model = Model(tiny_config(cnn_channels=(8, 16, 16)))
-        feat = model.embed_image(toy_image(width=40))
-        assert feat.feature_shape == (16, 4, 10)
-        assert feat.tokens.shape == (10, 16)
+        tokens = model.embed_image(toy_image(width=40))
+        assert tokens.shape == (10, 16)
 
     def test_token_count_doubles_with_width(self):
         model = Model(tiny_config())
-        n1 = model.embed_image(toy_image(width=40)).count
-        n2 = model.embed_image(toy_image(width=80)).count
+        n1 = model.embed_image(toy_image(width=40)).shape[0]
+        n2 = model.embed_image(toy_image(width=80)).shape[0]
         assert n2 == 2 * n1
         assert model.image_token_count(40) == n1
 
     def test_zero_image_is_pure_bias_plus_positions(self):
         model = Model(tiny_config())
-        feat = model.embed_image(Tensor(np.zeros((1, 32, 16))))
-        n = feat.count
+        tok = model.embed_image(Tensor(np.zeros((1, 32, 16)))).data
+        n = tok.shape[0]
         # conv stack on zeros gives constant feature columns, so every token
         # differs from the next only through the learned positional table
-        tok = feat.tokens.data
         pos = model.params["img_pos"].data[:n]
         spread = tok - pos
         assert np.max(np.abs(spread - spread[0])) < 1e-12
@@ -98,7 +96,7 @@ class TestImageEmbedding:
         import hashlib
 
         tokens = Model(tiny_config(), seed=11).embed_image(
-            render_line(text).image).tokens.data
+            render_line(text).image).data
         assert hashlib.sha256(tokens.tobytes()).hexdigest() == digest
 
 
@@ -117,7 +115,7 @@ class TestTextEmbedding:
     def test_step_embedding_equals_sequence_embedding(self):
         model = Model(tiny_config())
         ids = [3, 4, 5, 6, 3]
-        rows = model.embed_text(ids).tokens.data
+        rows = model.embed_text(ids).data
         for pos, token in enumerate(ids):
             step = model.embed_text_step([token], pos)
             np.testing.assert_array_equal(step[0], rows[pos])
@@ -141,8 +139,7 @@ class TestTextEmbedding:
 
     def test_same_id_different_positions_differ(self):
         model = Model(tiny_config())
-        batch = model.embed_text([3, 3, 3])
-        rows = batch.tokens.data
+        rows = model.embed_text([3, 3, 3]).data
         assert np.any(rows[0] != rows[1])
         assert np.any(rows[1] != rows[2])
 
@@ -169,7 +166,7 @@ class TestImageOnlyPass:
         image = toy_image(width=44)
         cache = model.build_image_cache(image)
         assert isinstance(cache, tuple) and len(cache) == len(model.layers)
-        x = model.embed_image(image).tokens
+        x = model.embed_image(image)
         for (keys, values), layer in zip(cache, model.layers):
             proj = layer.projections
             assert isinstance(keys, np.ndarray), layer.index
@@ -296,8 +293,9 @@ class TestBaseline:
         from retline.fusion import FusionSequence
         from retline.tensor import concat_rows
 
-        x = concat_rows([feat.tokens, txt.tokens])
-        seq = FusionSequence(x, feat.count, 2)
+        x = concat_rows([feat, txt])
+        n_image = feat.shape[0]
+        seq = FusionSequence(x, n_image, 2)
         layer = model.layers[0]
         # reconstruct the joint attention of head 0 and check normalization
         q = (x.data @ layer.projections.wq.data)[:, :8]
@@ -305,9 +303,9 @@ class TestBaseline:
         dots = q @ k.T / np.sqrt(8)
         n = x.shape[0]
         allow = np.zeros((n, n), dtype=bool)
-        allow[:, :feat.count] = True
+        allow[:, :n_image] = True
         for r in range(2):
-            allow[feat.count + r, feat.count:feat.count + r + 1] = True
+            allow[n_image + r, n_image:n_image + r + 1] = True
         masked = np.where(allow, dots, -np.inf)
         z = np.exp(masked - masked.max(axis=1, keepdims=True))
         z = np.where(allow, z, 0.0)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from retline.retention import (
-    DecayMatrix,
     GammaSchedule,
     PhaseConfig,
     RetentionState,
@@ -31,7 +30,7 @@ def brute_force_retention(x, wq, wk, wv, decay, phases=None):
     out = np.zeros((n, d))
     for i in range(n):
         for j in range(n):
-            out[i] += decay.entries[i, j] * (q[i] @ k[j]) * v[j]
+            out[i] += decay[i, j] * (q[i] @ k[j]) * v[j]
     return out
 
 
@@ -47,14 +46,14 @@ class TestDecayMatrices:
     def test_causal_n3_half(self):
         d = build_decay(3, 0.5)
         np.testing.assert_allclose(
-            d.entries, [[1, 0, 0], [0.5, 1, 0], [0.25, 0.5, 1]], atol=0
+            d, [[1, 0, 0], [0.5, 1, 0], [0.25, 0.5, 1]], atol=0
         )
 
     def test_single_token(self):
-        np.testing.assert_array_equal(build_decay(1, 0.3).entries, [[1.0]])
+        np.testing.assert_array_equal(build_decay(1, 0.3), [[1.0]])
 
     def test_columns_strictly_decrease_below_diagonal(self):
-        d = build_decay(6, 0.9).entries
+        d = build_decay(6, 0.9)
         for j in range(6):
             col = d[j:, j]
             assert np.all(np.diff(col) < 0)
@@ -66,20 +65,20 @@ class TestDecayMatrices:
 
     def test_entries_within_unit_interval(self):
         for gamma in (0.05, 0.5, 0.998):
-            e = build_decay(12, gamma).entries
+            e = build_decay(12, gamma)
             assert e.min() >= 0.0 and e.max() <= 1.0
             np.testing.assert_array_equal(np.diag(e), 1.0)
 
     def test_gated_hand_product(self):
         d = build_decay_gated([0.9, 0.8, 0.7])
         # row 3, column 1 in 1-based terms: product of gates 2 and 3
-        assert d.entries[2, 0] == pytest.approx(0.8 * 0.7, abs=0)
-        np.testing.assert_array_equal(np.diag(d.entries), 1.0)
-        assert d.entries[1, 0] == pytest.approx(0.8, abs=0)
+        assert d[2, 0] == pytest.approx(0.8 * 0.7, abs=0)
+        np.testing.assert_array_equal(np.diag(d), 1.0)
+        assert d[1, 0] == pytest.approx(0.8, abs=0)
 
     def test_gated_constant_gates_match_fixed_gamma(self):
-        fixed = build_decay(8, 0.6).entries
-        gated = build_decay_gated(np.full(8, 0.6)).entries
+        fixed = build_decay(8, 0.6)
+        gated = build_decay_gated(np.full(8, 0.6))
         assert np.max(np.abs(fixed - gated)) < 1e-15
 
     def test_gate_value_at_zero_preactivation(self):
@@ -95,11 +94,11 @@ class TestDecayMatrices:
     def test_bidirectional_n3_half(self):
         d = build_decay_bidirectional(3, 0.5)
         np.testing.assert_allclose(
-            d.entries, [[1, 0.5, 0.25], [0.5, 1, 0.5], [0.25, 0.5, 1]], atol=0
+            d, [[1, 0.5, 0.25], [0.5, 1, 0.5], [0.25, 0.5, 1]], atol=0
         )
 
     def test_bidirectional_symmetric_unit_diagonal(self):
-        d = build_decay_bidirectional(7, 0.83).entries
+        d = build_decay_bidirectional(7, 0.83)
         np.testing.assert_array_equal(d, d.T)
         np.testing.assert_array_equal(np.diag(d), 1.0)
 
@@ -229,7 +228,7 @@ class TestParallelForm:
         rng = np.random.default_rng(8)
         x = Tensor(rng.standard_normal((5, 6)))
         wq, wk, wv = (Tensor(rng.standard_normal((6, 6))) for _ in range(3))
-        decay = DecayMatrix(n=5, entries=np.eye(5), kind="causal")
+        decay = np.eye(5)
         out = retention_parallel(x, wq, wk, wv, decay, PhaseConfig(enabled=False))
         q, k, v = x.data @ wq.data, x.data @ wk.data, x.data @ wv.data
         expected = (np.einsum("nd,nd->n", q, k))[:, None] * v

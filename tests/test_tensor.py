@@ -19,19 +19,16 @@ from retline.tensor import (
     log_softmax_rows,
     masked_softmax_rows,
     matmul,
-    mean_all,
     mul,
     mul_const,
     permute,
     pow_const,
     rotate_pairs,
-    scale_rows,
     sigmoid,
     slice_cols,
     slice_rows,
     softmax_rows,
     sum_all,
-    transpose,
     unfold,
 )
 
@@ -266,6 +263,11 @@ class TestGradCheck:
         x = rand((3, 4), seed=5)
         assert grad_check(lambda t: sum_all(mul(t, t)), x) <= 1e-7
 
+    def test_non_contiguous_input(self):
+        # the perturbations must reach a transposed view's data, not a copy
+        x = Tensor(np.random.default_rng(5).standard_normal((4, 3)).T)
+        assert grad_check(lambda t: sum_all(mul(t, t)), x) <= 1e-7
+
     def test_constant_function(self):
         x = rand((2, 2), seed=6)
         const = Tensor(np.zeros(()))
@@ -282,13 +284,14 @@ class TestGradCheck:
             lambda t: sum_all(sigmoid(t)),
             lambda t: sum_all(mul_const(
                 layer_norm(t, Tensor(np.ones(6)), Tensor(np.zeros(6))), weights)),
-            lambda t: sum_all(matmul(t, transpose(t))),
+            lambda t: sum_all(matmul(t, permute(t, (1, 0)))),
             lambda t: sum_all(mul(slice_rows(t, 1, 3), slice_rows(t, 0, 2))),
             lambda t: sum_all(mul(slice_cols(t, 0, 3), slice_cols(t, 2, 5))),
             lambda t: sum_all(concat_rows([t, t])),
             lambda t: sum_all(mul(concat_cols([t, t]), concat_cols([t, t]))),
-            lambda t: mean_all(mul_const(t, np.arange(24.0).reshape(4, 6))),
-            lambda t: sum_all(scale_rows(mul(t, t), np.arange(1.0, 5.0))),
+            lambda t: mul_const(sum_all(mul_const(
+                t, np.arange(24.0).reshape(4, 6))), 1 / 24),
+            lambda t: sum_all(mul_const(mul(t, t), np.arange(1.0, 5.0)[:, None])),
             lambda t: sum_all(rotate_pairs(t, np.linspace(0, 2, 12).reshape(4, 3))),
         ]
         for i, f in enumerate(cases):
