@@ -209,6 +209,8 @@ def write_pgm(path, img: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """(h, w) pixels in [0, 1] of an 8-bit binary PGM. Any malformed file
+    raises a ValueError that names it."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.startswith(b"P5"):
@@ -225,14 +227,21 @@ def read_pgm(path) -> np.ndarray:
         start = pos
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
-        tokens.append(raw[start:pos])
+        if start == pos:
+            raise ValueError(f"{path}: truncated PGM header")
+        if not raw[start:pos].isdigit():
+            raise ValueError(f"{path}: PGM header field {raw[start:pos]!r} "
+                             "is not a number")
+        tokens.append(int(raw[start:pos]))
     pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(t) for t in tokens)
+    w, h, maxval = tokens
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: empty {w}x{h} PGM image")
     if maxval != 255:
         raise ValueError(f"{path}: only 8-bit PGM is supported")
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=h * w, offset=pos)
-    if pixels.size != h * w:
+    if len(raw) - pos < h * w:
         raise ValueError(f"{path}: truncated pixel data")
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=h * w, offset=pos)
     return pixels.reshape(h, w).astype(np.float64) / 255.0
 
 

@@ -13,6 +13,9 @@ Every parallel pass runs one batched core over (H, n, d_head) head stacks:
 `mixing_weights` gives all heads' (H, N, N) weights for the multi-head
 forward and for `armf_parallel` (H = 1); the attention twin shares its
 `scaled_scores`, and the score maps read the weights the forward computed.
+A pass may compute only the query rows from `first_row` on, while its keys
+and values cover every row: the model's last layer feeds the head only
+its text rows.
 
 Decode steps (`marmf_recurrent_step`) run on plain float64 arrays through
 the tensor module's forward kernels, so they record no tape and build no
@@ -141,39 +144,53 @@ def merge_heads(x: Tensor) -> Tensor:
 
 
 def scaled_scores(q: Tensor, k: Tensor) -> Tensor:
-    """(H, N, N) query-key scores of every head, scaled by 1/sqrt(d_head)."""
+    """(H, M, N) scores of every head's M queries against its N keys, scaled
+    by 1/sqrt(d_head)."""
     return mul_const(bmatmul(q, permute(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[2]))
 
 
+def query_rows(x: Tensor, first_row: int) -> Tensor:
+    """Rows first_row..N of the (N, d) rows `x`: `x` itself from row 0, else
+    a recorded slice."""
+    return x if first_row == 0 else slice_rows(x, first_row, x.shape[0])
+
+
 def _gated_text_decay(gates: Tensor, n_image: int) -> Tensor:
-    """Differentiable (H, N, N_T) decay from (N_T, H) per-position gates:
-    zero image-query rows, then entry (i, j) = prod of gates j+1..i below the
-    diagonal, built as exp of cumulative log-gate differences."""
+    """Differentiable (H, n_image + N_T, N_T) decay from (N_T, H)
+    per-position gates: `n_image` zero image-query rows, then entry (i, j) =
+    prod of gates j+1..i below the diagonal, built as exp of cumulative
+    log-gate differences."""
     n, heads = gates.shape
     cum = reshape(permute(cumsum0(log(gates)), (1, 0)), (heads, n, 1))
     rows = bmatmul(cum, Tensor(np.ones((heads, 1, n))))  # row i holds cum[i]
     diff = rows - permute(rows, (0, 2, 1))  # cum[i] - cum[j]
     tril = np.tril(np.ones((n, n)))
     decay = mul_const(exp(mul_const(diff, tril)), tril)
+    if n_image == 0:
+        return decay
     return concat_rows([Tensor(np.zeros((heads, n_image, n))), decay])
 
 
 def mixing_weights(q: Tensor, k: Tensor, n_image: int, decay,
                    prior_gamma=None) -> Tensor:
-    """(H, N, N) fusion weights of every head from (H, N, d_head) queries and
-    keys. Image keys: row-wise softmax of the scaled scores, whose image-query
-    rows are optionally reweighted by the bidirectional prior built from one
-    gamma per head, (H, N_I, N_I), and renormalized. Text keys: the scaled
-    scores times the (H, N, N_T) decay, an array for fixed gammas or a tensor
-    for gates, whose image-query rows are zero."""
+    """(H, M, N) fusion weights of every head for query rows first_row..N,
+    first_row = N - M <= N_I, from (H, M, d_head) queries and (H, N, d_head)
+    keys. Image keys: row-wise softmax of the scaled scores, whose
+    image-query rows are optionally reweighted by the bidirectional prior
+    built from one gamma per head, (H, N_I, N_I), and renormalized; with no
+    image-query rows the prior is skipped. Text keys: the scaled scores times
+    the (H, M, N_T) decay, an array for fixed gammas or a tensor for gates,
+    whose image-query rows are zero."""
     dots = scaled_scores(q, k)
-    n = dots.shape[1]
+    m, n = dots.shape[1:]
+    image_rows = n_image - (n - m)  # image queries among the M
     img = softmax_rows(slice_cols(dots, 0, n_image))
-    if prior_gamma is not None:
-        prior = build_decay_bidirectional(n_image, prior_gamma)
-        img_rows = normalize_rows(mul_const(slice_rows(img, 0, n_image), prior))
-        img = img_rows if n == n_image else concat_rows(
-            [img_rows, slice_rows(img, n_image, n)])
+    if prior_gamma is not None and image_rows > 0:
+        prior = build_decay_bidirectional(n_image, prior_gamma)[..., n - m:, :]
+        img_rows = normalize_rows(mul_const(slice_rows(img, 0, image_rows),
+                                            prior))
+        img = img_rows if m == image_rows else concat_rows(
+            [img_rows, slice_rows(img, image_rows, m)])
     if n == n_image:
         return img
     text = slice_cols(dots, n_image, n)
@@ -205,43 +222,50 @@ def marmf_forward(
     cfg: ARMFHeadConfig,
     gate_weights: Tensor | None = None,
     capture: list | None = None,
+    first_row: int = 0,
 ) -> Tensor:
     """Multi-head fusion: each head runs with its own scheduled gamma, heads
     are concatenated, and the result goes through the output projection.
     No group normalization and no gate follow the heads.
 
-    With the gated schedule, per-position gates come from the text-token
-    inputs through `gate_weights` instead of the fixed table. A `capture`
-    list receives the (H, N, N) mixing weights and the (H, N_T, N_T) text
-    decay of this pass.
+    Returns the output rows first_row..N (0 <= first_row <= N_I); keys and
+    values still cover every row. With the gated schedule, per-position
+    gates come from the text-token inputs through `gate_weights` instead of
+    the fixed table. A `capture` list receives the (H, N - first_row, N)
+    mixing weights and the (H, N_T, N_T) text decay of this pass.
     """
     if not 0 <= layer_index < schedule.layers:
         raise ValueError(f"layer index {layer_index} out of range")
     if schedule.heads != cfg.heads:
         raise ValueError("schedule and head config disagree on head count")
-    # q, k and v are recorded before the gates: backward sums the input's
-    # gradient terms in tape order
-    q, k, v = (split_heads(matmul(seq.x, w), cfg.heads)
-               for w in (proj.wq, proj.wk, proj.wv))
     n_image, n = seq.n_image, seq.n_image + seq.n_text
+    if not 0 <= first_row <= n_image:
+        raise ValueError(f"first row {first_row} outside 0..{n_image}")
+    # the query rows, then q, k and v, are recorded before the gates:
+    # backward sums the input's gradient terms in tape order
+    x_q = query_rows(seq.x, first_row)
+    q, k, v = (split_heads(matmul(x, w), cfg.heads) for x, w in
+               ((x_q, proj.wq), (seq.x, proj.wk), (seq.x, proj.wv)))
+    image_rows = n_image - first_row  # zero rows of the text decay
     if schedule.strategy == "gated":
         if gate_weights is None:
             raise ValueError("gated schedule requires gate weights")
         if cfg.image_prior != "none":
             raise ValueError("the image prior needs a fixed-gamma schedule")
-        decay = np.zeros((cfg.heads, n_image, 0))
+        decay = np.zeros((cfg.heads, image_rows, 0))
         if seq.n_text > 0:
             gates = gate_gammas(matmul(slice_rows(seq.x, n_image, n),
                                        gate_weights), schedule.tau)
-            decay = _gated_text_decay(gates, n_image)
+            decay = _gated_text_decay(gates, image_rows)
     else:
         decay = build_armf_mask(n_image, seq.n_text,
                                 schedule.layer_values(layer_index))
+        decay = decay[..., first_row:, :]
     weights = mixing_weights(q, k, n_image, decay,
                              image_prior_gammas(cfg, schedule, layer_index))
     if capture is not None:
         text_decay = decay.data if isinstance(decay, Tensor) else decay
-        capture.append((weights.data, text_decay[:, n_image:]))
+        capture.append((weights.data, text_decay[:, image_rows:]))
     return matmul(merge_heads(bmatmul(weights, v)), proj.wo)
 
 

@@ -29,6 +29,7 @@ from .fusion import (
     marmf_forward,
     marmf_recurrent_step,
     merge_heads,
+    query_rows,
     scaled_scores,
     softmax_mix,
     split_heads,
@@ -177,34 +178,45 @@ class DecoderLayer:
     # --- parallel (training) path
 
     def forward(self, seq: FusionSequence, train: TrainContext | None,
-                capture: list | None = None) -> Tensor:
+                capture: list | None = None, first_row: int = 0) -> Tensor:
+        """Block output rows first_row..N (0 <= first_row <= N_I); keys and
+        values still cover every row."""
         if self.config.mixer == "retention":
             mixed = marmf_forward(
                 seq, self.index, self.schedule, self.projections,
                 self.head_cfg, gate_weights=self.gate_weights, capture=capture,
+                first_row=first_row,
             )
         else:
-            mixed = self._attention_mix(seq, capture)
+            mixed = self._attention_mix(seq, capture, first_row)
+        n = seq.x.shape[0]
         if train is not None:
-            mixed = dropout(mixed, self.config.dropout_mix, train.rng)
-        return self._post(seq.x, mixed, train)
+            mixed = dropout(mixed, self.config.dropout_mix, train.rng, rows=n)
+        # a slice of its own, recorded after the mixer's, so backward sums
+        # the input's gradient terms in the full-row pass's order
+        return self._post(query_rows(seq.x, first_row), mixed, train, n)
 
-    def _attention_mix(self, seq: FusionSequence, capture: list | None) -> Tensor:
-        q, k, v = (split_heads(matmul(seq.x, w), self.config.heads)
-                   for w in (self.projections.wq, self.projections.wk,
-                             self.projections.wv))
-        weights = masked_softmax_rows(scaled_scores(q, k),
-                                      attention_allow(seq.n_image, seq.n_text))
+    def _attention_mix(self, seq: FusionSequence, capture: list | None,
+                       first_row: int) -> Tensor:
+        x_q = query_rows(seq.x, first_row)
+        proj = self.projections
+        q, k, v = (split_heads(matmul(x, w), self.config.heads) for x, w in
+                   ((x_q, proj.wq), (seq.x, proj.wk), (seq.x, proj.wv)))
+        allow = attention_allow(seq.n_image, seq.n_text)[first_row:]
+        weights = masked_softmax_rows(scaled_scores(q, k), allow)
         if capture is not None:
             capture.append((weights.data, None))
-        return matmul(merge_heads(bmatmul(weights, v)), self.projections.wo)
+        return matmul(merge_heads(bmatmul(weights, v)), proj.wo)
 
-    def _post(self, x: Tensor, mixed: Tensor, train: TrainContext | None) -> Tensor:
+    def _post(self, x: Tensor, mixed: Tensor, train: TrainContext | None,
+              rows: int) -> Tensor:
+        """Residual, layer norm, feed-forward, residual, layer norm over the
+        last rows of a `rows`-row block, for which dropout draws its masks."""
         cfg = self.config
         y = layer_norm(add(x, mixed), self.ln["ln1_gain"], self.ln["ln1_bias"])
         hidden = gelu(add(matmul(y, self.pff["pff_w1"]), self.pff["pff_b1"]))
         if train is not None:
-            hidden = dropout(hidden, cfg.dropout_mix, train.rng)
+            hidden = dropout(hidden, cfg.dropout_mix, train.rng, rows=rows)
         ff = add(matmul(hidden, self.pff["pff_w2"]), self.pff["pff_b2"])
         return layer_norm(add(y, ff), self.ln["ln2_gain"], self.ln["ln2_bias"])
 
@@ -427,18 +439,26 @@ class Model:
                 train: TrainContext | None = None,
                 capture: list | None = None) -> Tensor:
         """Teacher-forced logits over the text positions, shape (N_T, vocab).
-        A `capture` list receives, per layer, the (H, N, N) mixing weights
-        and the (H, N_T, N_T) text decay (None for the attention mixer)."""
+        The last layer computes only the text rows, which are all the head
+        reads, except under `capture` or for a single text token: a
+        one-row product takes another BLAS path, so it keeps every row to
+        stay bitwise equal to the full pass. A `capture` list receives, per
+        layer, the (H, N, N) mixing weights and the (H, N_T, N_T) text decay
+        (None for the attention mixer)."""
         ids = np.asarray(input_ids, dtype=np.int64)
         if ids.size == 0:
             raise ValueError("training forward needs at least one text token")
         img = self.embed_image(image, train)
         x = concat_rows([img, self.embed_text(ids, train)])
         n_image, n_text = img.shape[0], ids.size
+        last_first = n_image if capture is None and n_text > 1 else 0
         for layer in self.layers:
-            x = layer.forward(FusionSequence(x, n_image, n_text), train, capture)
-        text_x = slice_rows(x, n_image, n_image + n_text)
-        return add(matmul(text_x, self.params["head_w"]), self.params["head_b"])
+            first_row = last_first if layer is self.layers[-1] else 0
+            x = layer.forward(FusionSequence(x, n_image, n_text), train,
+                              capture, first_row)
+        if x.shape[0] > n_text:
+            x = slice_rows(x, n_image, n_image + n_text)
+        return add(matmul(x, self.params["head_w"]), self.params["head_b"])
 
     def build_image_cache(self, image: Tensor) -> tuple:
         """Per-layer (keys, values) of the (N_I, d) image rows, computed once

@@ -682,13 +682,18 @@ def rotate_pairs(x: Tensor, angles) -> Tensor:
     return _record(out, (x,), grad_fn)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when p == 0."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator,
+            rows: int | None = None) -> Tensor:
+    """Inverted dropout; identity when p == 0. The mask is drawn for `rows`
+    rows (default x's own) and x takes its last ones, so output rows kept
+    from the end of a longer input see that input's random stream."""
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
     if p == 0.0:
         return x
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    n = x.shape[0]
+    rows = n if rows is None else rows
+    mask = (rng.random((rows,) + x.shape[1:])[rows - n:] >= p) / (1.0 - p)
     out = Tensor._wrap(x.data * mask, False)
 
     def grad_fn(g):

@@ -292,6 +292,19 @@ class TestDecodeScoring:
         assert code == 1
         assert ckpt in capsys.readouterr().err
 
+    def test_malformed_pgm_exits_1_naming_it(self, tmp_path, capsys):
+        cfg, ckpt, data_dir = self.checkpoint_and_data(tmp_path)
+        manifest = data_dir / "manifest.tsv"
+        rel = manifest.read_text().splitlines()[0].split("\t")[1]
+        pgm = os.path.join(str(data_dir), rel)
+        with open(pgm, "wb") as fh:
+            fh.write(b"P5\n4 2\n255\n\x00\x00\x00")  # 3 of 8 pixels
+        code = main(["--out-dir", str(tmp_path / "dec"), "--config", str(cfg),
+                     "decode", "--checkpoint", ckpt, "--data", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert pgm in err and "Traceback" not in err
+
     def test_empty_manifest_exits_1_naming_it(self, tmp_path, capsys):
         cfg, ckpt, data_dir = self.checkpoint_and_data(tmp_path)
         empty = data_dir / "empty.tsv"  # next to the dataset.json sidecar

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,26 @@ class TestPgm:
         path = tmp_path / "not.pgm"
         path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
         with pytest.raises(ValueError):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("raw", [
+        b"P5\n4",
+        b"P5\n4 2\n",
+        b"P5\n4 2 255",
+        b"P5\n4 2 # comment, no maxval",
+        b"P5\nabc 2\n255\n" + bytes(8),
+        b"P5\n4 2\nmax\n" + bytes(8),
+        b"P5\n-4 2\n255\n" + bytes(8),
+        b"P5\n4 2\n255\n" + bytes(3),
+        b"P5\n0 2\n255\n",
+        b"P5\n2 0\n255\n",
+    ], ids=["no_height", "no_maxval", "no_pixels", "comment_to_end",
+            "non_numeric_width", "non_numeric_maxval", "negative_width",
+            "short_pixels", "zero_width", "zero_height"])
+    def test_malformed_file_named(self, tmp_path, raw):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             read_pgm(path)
 
 

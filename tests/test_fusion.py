@@ -374,6 +374,71 @@ class TestMultiHead:
                           ARMFHeadConfig(d_model=4, heads=2))
 
 
+
+class TestFirstRow:
+    """A pass from `first_row` returns bitwise the last rows of the full
+    pass, its gradients included, for every start between 0 and N_I."""
+
+    @pytest.mark.parametrize("strategy, prior", [
+        (s, p) for s in GAMMA_STRATEGIES for p in IMAGE_PRIORS
+        if s != "gated" or p == "none"
+    ])
+    def test_rows_and_gradients_equal_the_full_pass(self, strategy, prior):
+        rng = np.random.default_rng(21)
+        d, heads, n_image, n_text = 8, 2, 5, 4
+        proj = make_proj(d, rng)
+        sched = GammaSchedule(strategy, 2, heads)
+        cfg = ARMFHeadConfig(d_model=d, heads=heads, image_prior=prior)
+        w_gamma = (Tensor(rng.standard_normal((d, heads)))
+                   if strategy == "gated" else None)
+        x = Tensor(rng.standard_normal((n_image + n_text, d)))
+        readout = rng.standard_normal((n_image + n_text, d))
+        leaves = [x, proj.wq, proj.wk, proj.wv, proj.wo]
+        if w_gamma is not None:
+            leaves.append(w_gamma)
+        for t in leaves:
+            t.requires_grad = True
+
+        def run(first_row, rows):
+            for t in leaves:
+                t.grad = None
+            with Tape():
+                out = marmf_forward(FusionSequence(x, n_image, n_text), 1,
+                                    sched, proj, cfg, gate_weights=w_gamma,
+                                    first_row=first_row)
+                kept = slice_rows(out, rows - first_row, out.shape[0])
+                backward(sum_all(kept * Tensor(readout[rows:])))
+            return kept.data, [t.grad for t in leaves]
+
+        for first_row in range(n_image + 1):
+            full, full_grads = run(0, first_row)
+            part, part_grads = run(first_row, first_row)
+            assert np.array_equal(part, full), first_row
+            for a, b in zip(part_grads, full_grads):
+                assert np.array_equal(a, b), first_row
+
+    def test_capture_holds_the_computed_rows(self):
+        rng = np.random.default_rng(22)
+        d, heads, n_image, n_text = 8, 2, 5, 3
+        captured = []
+        marmf_forward(FusionSequence(Tensor(rng.standard_normal((8, d))),
+                                     n_image, n_text), 0,
+                      GammaSchedule("layerwise", 1, heads), make_proj(d, rng),
+                      ARMFHeadConfig(d_model=d, heads=heads),
+                      capture=captured, first_row=2)
+        weights, decay = captured[0]
+        assert weights.shape == (heads, 6, 8)
+        assert decay.shape == (heads, n_text, n_text)
+
+    @pytest.mark.parametrize("first_row", [-1, 4])
+    def test_start_outside_the_image_rows_rejected(self, first_row):
+        rng = np.random.default_rng(23)
+        seq = FusionSequence(Tensor(rng.standard_normal((5, 4))), 3, 2)
+        with pytest.raises(ValueError, match="first row"):
+            marmf_forward(seq, 0, GammaSchedule("layerwise", 1, 2),
+                          make_proj(4, rng), ARMFHeadConfig(d_model=4, heads=2),
+                          first_row=first_row)
+
 class TestParallelRecurrentProperty:
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("strategy, prior", [

@@ -16,7 +16,15 @@ from retline.model import (
     training_loss,
 )
 from retline.retention import GAMMA_STRATEGIES
-from retline.tensor import Tape, Tensor, backward, matmul, sum_all
+from retline.tensor import (
+    OpCounter,
+    Tape,
+    Tensor,
+    backward,
+    count_ops,
+    matmul,
+    sum_all,
+)
 
 
 def tiny_config(**overrides):
@@ -211,13 +219,14 @@ class TestForward:
         assert np.any(train_out != eval_a)
 
 
-def forward_backward_digest(**overrides) -> str:
+def forward_backward_digest(ids=(SOS_ID, 3, 4, 5, 6),
+                            targets=(3, 4, 5, 6, EOS_ID), **overrides) -> str:
     """sha256 over the logits and every parameter gradient of one seeded
     teacher-forced forward and backward pass."""
     model = Model(tiny_config(**overrides), seed=3)
     with Tape():
-        logits = model.forward(toy_image(36, seed=4), [SOS_ID, 3, 4, 5, 6])
-        backward(training_loss(logits, [3, 4, 5, 6, EOS_ID]))
+        logits = model.forward(toy_image(36, seed=4), list(ids))
+        backward(training_loss(logits, list(targets)))
     digest = hashlib.sha256(logits.data.tobytes())
     for name in sorted(model.params):
         digest.update(model.params[name].grad.tobytes())
@@ -271,6 +280,124 @@ class TestPinnedDigests:
     def test_attention_twin_logits_and_gradients(self):
         digest = forward_backward_digest(mixer="attention")
         assert digest == PINNED_DIGESTS["attention", "none"]
+
+
+# every retention strategy x image prior the model accepts, and the twin
+MIXER_CONFIGS = [
+    dict(gamma_strategy=s, image_prior=p) for s in GAMMA_STRATEGIES
+    for p in IMAGE_PRIORS if s != "gated" or p == "none"
+] + [dict(mixer="attention")]
+MIXER_IDS = ["-".join(c.values()) for c in MIXER_CONFIGS]
+
+# captured before the last layer stopped computing its image-query rows;
+# keyed by (strategy, prior) as in PINNED_DIGESTS: ([SOS], [SOS, 3]) inputs
+PINNED_SHORT_DIGESTS = {
+    ("original", "none"): (
+        "f9e407d790e654bc5046213eac864528909c00b90193a599cf764484916f2fce",
+        "f79a0a2a741b03054b3b041cb38991558d613438e2f00676cd9a0324523cf070"),
+    ("original", "fixed"): (
+        "c4396c708062d58de9c71ee7317b9e19e3f8fa6738e43f34bab7fc3467ae7300",
+        "87ef8ada5af8ed6f84bfe98fe7d8ec48427cb85fa8d7b152c1a303d182ca0425"),
+    ("original", "layerwise"): (
+        "c4396c708062d58de9c71ee7317b9e19e3f8fa6738e43f34bab7fc3467ae7300",
+        "87ef8ada5af8ed6f84bfe98fe7d8ec48427cb85fa8d7b152c1a303d182ca0425"),
+    ("gated", "none"): (
+        "fd90e845ebb7f0265f4f024224db75dbb7b080844af3375f102b153594152e13",
+        "d4c2275c20cd095427fe8b9161ed40809a88ff966a9238d41134a149c488e760"),
+    ("small_gamma", "none"): (
+        "f9e407d790e654bc5046213eac864528909c00b90193a599cf764484916f2fce",
+        "f7179c5b89c7daf7ee7e01fecc27adfcb5ebfb79e01d1a10ff39733f1c8d18a4"),
+    ("small_gamma", "fixed"): (
+        "c4396c708062d58de9c71ee7317b9e19e3f8fa6738e43f34bab7fc3467ae7300",
+        "21b98c422253016f2b2098c99593c5f92879a49cc3a3f3ef5a22ccdba9d2c51f"),
+    ("small_gamma", "layerwise"): (
+        "70569850c8e688fb4393d63044630a9106f590774f66c79bc3f68cd0572ebe9f",
+        "21573f43df277624d62a5f7cba93e53f0f84412055bc4f4b31b144d6133609ec"),
+    ("headwise", "none"): (
+        "f9e407d790e654bc5046213eac864528909c00b90193a599cf764484916f2fce",
+        "87af6087cea244c628eafeef99912685ee9dbf2e88ce37d10a76f84b4f44ebfd"),
+    ("headwise", "fixed"): (
+        "c4396c708062d58de9c71ee7317b9e19e3f8fa6738e43f34bab7fc3467ae7300",
+        "7a25595b5cb96879088b4c02ae35ff37d76c61f1b7bfaecf985f517da25d6ef3"),
+    ("headwise", "layerwise"): (
+        "9e677eceb424495de2c0acb9bcf1d8041e0b7dbdd610cf00875139fa31ce1361",
+        "be2e13147452b3309752984628bb3f5c7dccfdf980f032577246941bf52e8da3"),
+    ("layerwise", "none"): (
+        "f9e407d790e654bc5046213eac864528909c00b90193a599cf764484916f2fce",
+        "16f99be8c054b5add66f773d70ebddfdbd8d47bb42e7a1f603a9e06a1ff44fba"),
+    ("layerwise", "fixed"): (
+        "c4396c708062d58de9c71ee7317b9e19e3f8fa6738e43f34bab7fc3467ae7300",
+        "99db2d745e0f35414bcea35b07d9f477988a05133d7becb9912d043e019ff982"),
+    ("layerwise", "layerwise"): (
+        "70569850c8e688fb4393d63044630a9106f590774f66c79bc3f68cd0572ebe9f",
+        "00f3eb9b60b9d1e96528fb20ade697b9cefb89e7a73c7cda87a0309211289b51"),
+    ("attention", "none"): (
+        "310bfff25f3f3353eaa9d22f3a3a343cd6247b671907f3504e8014bea0386623",
+        "a1ecb04c49664e3744b48f698116dca29288d9d0c6735953bcd0bd975277515d"),
+}
+
+# (mults, adds) of one forward_counts pass while every layer computed every
+# row: the gated gate projection adds N_T * d * H mults per layer
+PINNED_FULL_COUNTS = {False: (305456, 297165), True: (305876, 297465)}
+
+
+def forward_counts(ids=(SOS_ID, 3, 4, 5, 6), capture=None, **overrides):
+    """Counted (mults, adds) of one seeded teacher-forced forward."""
+    model = Model(tiny_config(**overrides), seed=3)
+    counter = OpCounter()
+    with count_ops(counter):
+        model.forward(toy_image(36, seed=4), list(ids), capture=capture)
+    return counter.snapshot()
+
+
+class TestLastLayerTextRows:
+    """The last layer computes only the text rows the head reads; its
+    results are bitwise those of the full pass, which `capture` keeps."""
+
+    @pytest.mark.parametrize("overrides", MIXER_CONFIGS, ids=MIXER_IDS)
+    def test_logits_and_gradients_equal_the_full_pass(self, overrides):
+        runs = []
+        for capture in (None, []):
+            model = Model(tiny_config(**overrides), seed=3)
+            with Tape():
+                logits = model.forward(toy_image(36, seed=4),
+                                       [SOS_ID, 3, 4, 5, 6], capture=capture)
+                backward(training_loss(logits, [3, 4, 5, 6, EOS_ID]))
+            runs.append((logits.data, {k: t.grad for k, t in
+                                       model.params.items()}))
+        (logits, grads), (full_logits, full_grads) = runs
+        assert np.array_equal(logits, full_logits)
+        assert grads.keys() == full_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], full_grads[name]), name
+
+    @pytest.mark.parametrize("overrides", MIXER_CONFIGS, ids=MIXER_IDS)
+    def test_short_inputs_match_pinned_digests(self, overrides):
+        key = ("attention", "none") if "mixer" in overrides else (
+            overrides["gamma_strategy"], overrides["image_prior"])
+        one = forward_backward_digest([SOS_ID], [3], **overrides)
+        two = forward_backward_digest([SOS_ID, 3], [3, EOS_ID], **overrides)
+        assert (one, two) == PINNED_SHORT_DIGESTS[key]
+
+    @pytest.mark.parametrize("overrides", MIXER_CONFIGS, ids=MIXER_IDS)
+    def test_counts_drop_by_the_image_query_rows(self, overrides):
+        cfg = tiny_config(**overrides)
+        d, dff, heads, dh = cfg.d_model, cfg.d_ff, cfg.heads, cfg.d_head
+        n_i = Model(cfg).image_token_count(36)
+        n = n_i + 5
+        # per image row: q and o projections, scores, value mix, FFN
+        mults = n_i * (2 * d * d + 2 * n * d + 2 * d * dff)
+        adds = n_i * (2 * d * (d - 1) + heads * n * (dh - 1)
+                      + heads * dh * (n - 1) + dff * (d - 1) + d * (dff - 1))
+        full = forward_counts(capture=[], **overrides)
+        assert full == PINNED_FULL_COUNTS[cfg.gamma_strategy == "gated"]
+        assert forward_counts(**overrides) == (full[0] - mults,
+                                               full[1] - adds)
+
+    def test_single_text_token_keeps_every_row(self):
+        # a one-row product would take BLAS's matrix-vector path
+        assert (forward_counts(ids=[SOS_ID])
+                == forward_counts(ids=[SOS_ID], capture=[]))
 
 
 class TestBaseline:

@@ -424,6 +424,16 @@ class TestDropout:
         with pytest.raises(ValueError):
             dropout(rand((2, 2)), 1.0, np.random.default_rng(0))
 
+    def test_last_rows_of_a_longer_draw(self):
+        x = rand((7, 5))
+        tail = Tensor(x.data[3:])
+        rng_full, rng_tail = np.random.default_rng(4), np.random.default_rng(4)
+        full = dropout(x, 0.4, rng_full)
+        out = dropout(tail, 0.4, rng_tail, rows=7)
+        assert np.array_equal(out.data, full.data[3:])
+        # both drew the same numbers, so the streams continue alike
+        assert rng_full.random() == rng_tail.random()
+
 
 class TestConcurrency:
     def test_distinct_tapes_run_concurrently(self):

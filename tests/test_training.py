@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from retline.training import (
 )
 
 
-def tiny_setup(n_train=8, n_val=2, chars="abcd"):
+def tiny_setup(n_train=8, n_val=2, chars="abcd", dropout_mix=0.0,
+               dropout_embed=0.0):
     vocab = Vocab(chars)
     rng = np.random.default_rng(0)
     samples = []
@@ -24,7 +27,7 @@ def tiny_setup(n_train=8, n_val=2, chars="abcd"):
         samples.append(render_line(text, height=32, sample_id=f"s{i}"))
     cfg = ModelConfig(vocab_size=vocab.size, max_text_len=8, layers=1, heads=2,
                       d_model=16, d_ff=32, cnn_channels=(4, 8, 8),
-                      dropout_mix=0.0, dropout_embed=0.0)
+                      dropout_mix=dropout_mix, dropout_embed=dropout_embed)
     return Model(cfg, seed=0), samples[:n_train], samples[n_train:], vocab
 
 
@@ -146,6 +149,21 @@ class TestLoop:
             {"epoch": 1, "step": 4, "lr": 0.002723074641843674,
              "loss": 1.9605148480189118, "val_cer": 1.0, "val_wer": 1.0},
         ]
+
+    def test_dropout_run_matches_pinned_parameters(self):
+        # captured while the last layer still computed its image-query rows:
+        # its dropout masks are drawn at the full row count, so the stream
+        # and every kept mask value are unchanged
+        model, train_s, val_s, vocab = tiny_setup(dropout_mix=0.3,
+                                                  dropout_embed=0.1)
+        opt = OptimizerSettings(lr_max=1e-3, lr_min=1e-4, restart_epochs=5)
+        train(model, train_s, val_s, vocab, opt,
+              TrainSettings(epochs=2, batch_size=4, label_smoothing=0.1))
+        digest = hashlib.sha256()
+        for name in sorted(model.params):
+            digest.update(model.params[name].data.tobytes())
+        assert digest.hexdigest() == (
+            "4e9b3b490cba6faf69af42a20fcfffbba9d2aa417a256c3a61d2dbea4b73825f")
 
     def test_corpus_rates_on_perfect_hypotheses(self):
         model, train_s, val_s, vocab = tiny_setup()
