@@ -207,11 +207,22 @@ def _split_dataset(ds, val_count: int):
     return ds.samples, ()
 
 
+def _check_lines_fit(model, ds, path) -> None:
+    """Fail before any work on the first line whose image the model cannot
+    embed, naming the manifest and the line."""
+    for sample in ds.samples:
+        try:
+            model.check_image(sample.image.shape)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {sample.sample_id}: {exc}") from None
+
+
 def _cmd_train(args, config) -> int:
     echo_config(args.out_dir, config, args.seed)
     ds = load_manifest(args.data)
     train_samples, val_samples = _split_dataset(ds, config["val_count"])
     model = Model(model_config_from(config, ds.vocab.size), seed=args.seed)
+    _check_lines_fit(model, ds, args.data)
     opt = OptimizerSettings(
         lr_max=config["lr_max"], lr_min=config["lr_min"],
         weight_decay=config["weight_decay"],
@@ -237,6 +248,7 @@ def _cmd_decode(args, config) -> int:
     echo_config(args.out_dir, config, args.seed)
     model = load_checkpoint(args.checkpoint)
     ds = load_manifest(args.data)
+    _check_lines_fit(model, ds, args.data)
     beam = args.beam if args.beam is not None else config["beam"]
     backend = args.backend if args.backend is not None else config["backend"]
     if backend == "auto":

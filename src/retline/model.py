@@ -8,9 +8,11 @@ softmax attention over the concatenated sequence (image queries restricted
 to image keys, text queries to image plus causal text keys) and decoding
 must carry a growing key/value cache. Both variants share identical
 parameter names and shapes, so they are directly comparable. One
-channels-last CNN embeds the image for training and decoding alike; a decode
-builds its image cache (`Model.build_image_cache`) with no tape, as one
-(keys, values) pair of plain arrays per layer.
+channels-last CNN, three `tensor.conv` + GELU stages, embeds the image for
+training and decoding alike; a decode builds its image cache
+(`Model.build_image_cache`) with no tape, as one (keys, values) pair of
+plain arrays per layer. `Model.check_image` says whether a line fits the
+model before any of that work.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .tensor import (
     bmatmul,
     bmatmul_fwd,
     concat_rows,
+    conv,
     dropout,
     embedding_fwd,
     embedding_rows,
@@ -58,7 +61,6 @@ from .tensor import (
     reshape,
     slice_rows,
     sum_all,
-    unfold,
 )
 
 MIXERS = ("retention", "attention")
@@ -381,34 +383,40 @@ class Model:
             w = (w - 1) // sw + 1
         return w
 
+    def check_image(self, shape: tuple) -> None:
+        """Raise a ValueError unless an image of this shape fits the model:
+        a (1, h, w) grayscale line of the configured height whose width
+        yields at most max_image_tokens tokens."""
+        cfg = self.config
+        if len(shape) != 3 or shape[0] != 1:
+            raise ValueError("expected a (1, h, w) grayscale image")
+        if shape[1] != cfg.height:
+            raise ValueError(f"image height {shape[1]} != configured "
+                             f"{cfg.height}")
+        tokens = self.image_token_count(shape[2])
+        if tokens > cfg.max_image_tokens:
+            raise ValueError(f"image yields {tokens} tokens, above "
+                             f"max_image_tokens={cfg.max_image_tokens}")
+
     def embed_image(self, image: Tensor, train: TrainContext | None = None) -> Tensor:
         """(columns, d_model) image tokens: one per column of the CNN's last
-        feature map, projected to model width, with learned positions added."""
-        cfg = self.config
-        if image.data.ndim != 3 or image.shape[0] != 1:
-            raise ValueError("expected a (1, h, w) grayscale image")
-        if image.shape[1] != cfg.height:
-            raise ValueError(f"image height {image.shape[1]} != configured "
-                             f"{cfg.height}")
-        # channels-last (h, w, c) maps: a stage's rows are the next one's input
+        feature map, projected to model width, with learned positions added.
+        The CNN is three `conv` + GELU stages on channels-last (h, w, c)
+        maps, each stage's output the next one's input."""
+        self.check_image(image.shape)
         x = reshape(image, image.shape[1:] + (1,))
         for stage in range(3):
-            cols, oh, ow = unfold(x, kernel=_CNN_KERNEL,
-                                  stride=_CNN_STRIDES[stage], pad=_CNN_PAD)
-            y = add(matmul(cols, self.params[f"cnn{stage}_w"]),
-                    self.params[f"cnn{stage}_b"])
-            x = reshape(gelu(y), (oh, ow, cfg.cnn_channels[stage]))
+            x = gelu(conv(x, self.params[f"cnn{stage}_w"],
+                          self.params[f"cnn{stage}_b"], _CNN_KERNEL,
+                          _CNN_STRIDES[stage], _CNN_PAD))
         hv, wv, c = x.shape
-        if wv > cfg.max_image_tokens:
-            raise ValueError(f"image yields {wv} tokens, above "
-                             f"max_image_tokens={cfg.max_image_tokens}")
         # one token per column, its features ordered (channel, row)
         folded = reshape(permute(x, (1, 2, 0)), (wv, c * hv))
         tokens = add(matmul(folded, self.params["img_proj_w"]),
                      self.params["img_proj_b"])
         tokens = add(tokens, slice_rows(self.params["img_pos"], 0, wv))
         if train is not None:
-            tokens = dropout(tokens, cfg.dropout_embed, train.rng)
+            tokens = dropout(tokens, self.config.dropout_embed, train.rng)
         return tokens
 
     def embed_text(self, ids, train: TrainContext | None = None) -> Tensor:

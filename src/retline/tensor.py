@@ -11,8 +11,9 @@ products, layer norm, GELU, row softmax and log-softmax, the embedding
 gather) lives in plain-array kernels, the `*_fwd` functions. The Tensor
 primitives compute their forward through them, and decode steps, which
 never record a tape, call them directly. Inside `no_tape` nothing records,
-as when a decode builds its image cache: the CNN, whose im2col (`unfold`)
-takes channels-last (h, w, c) maps, and each layer's image-only forward.
+as when a decode builds its image cache: the CNN, whose stages are each one
+`conv` (im2col columns times the weights, plus the bias) on channels-last
+(h, w, c) maps, and each layer's image-only forward.
 
 Each operation has one primitive: a product with any constant is
 `mul_const`, any transpose is `permute`, and `central_differences` is the one
@@ -144,7 +145,11 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 def gelu_fwd(x: np.ndarray) -> tuple:
     """Gaussian error linear unit, exact erf form: x * Phi(x). Returns the
     output and Phi(x)."""
-    phi_cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    # 0.5 * (1 + erf(x / sqrt 2)) on one temporary, operation for operation
+    phi_cdf = x * _INV_SQRT2
+    erf(phi_cdf, out=phi_cdf)
+    phi_cdf += 1.0
+    phi_cdf *= 0.5
     return x * phi_cdf, phi_cdf
 
 
@@ -539,8 +544,16 @@ def gelu(x: Tensor) -> Tensor:
     out = Tensor._wrap(y, False)
 
     def grad_fn(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        return (g * (phi_cdf + x.data * pdf),)
+        # g * (Phi(x) + x * pdf(x)), pdf(x) = exp(-0.5 * x * x) / sqrt(2 pi),
+        # on one temporary, operation for operation
+        t = x.data * -0.5
+        t *= x.data
+        np.exp(t, out=t)
+        t *= _INV_SQRT2PI
+        t *= x.data
+        t += phi_cdf
+        t *= g
+        return (t,)
 
     return _record(out, (x,), grad_fn)
 
@@ -702,39 +715,59 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
     return _record(out, (x,), grad_fn)
 
 
-def unfold(x: Tensor, kernel: int, stride: tuple, pad: int):
-    """im2col for a channels-last (h, w, c) tensor: ((oh*ow, c*k*k) tensor,
-    oh, ow), rows over output positions, columns in (c, ki, kj) order."""
+def conv(x: Tensor, w: Tensor, b: Tensor, kernel: int, stride: tuple,
+         pad: int) -> Tensor:
+    """2-D convolution of a channels-last (h, w, c) map, zero-padded by
+    `pad`: the (oh*ow, c*k*k) im2col columns, in (c, ki, kj) order, times the
+    (c*k*k, c_out) weights through matmul_fwd, plus the (c_out,) bias.
+    Returns the (oh, ow, c_out) map."""
     if x.data.ndim != 3:
-        raise ValueError("unfold expects an (h, w, c) tensor")
-    h, w, c = x.shape
+        raise ValueError("conv expects an (h, w, c) tensor")
+    h, width, c = x.shape
     sh, sw = stride
     oh = (h + 2 * pad - kernel) // sh + 1
-    ow = (w + 2 * pad - kernel) // sw + 1
+    ow = (width + 2 * pad - kernel) // sw + 1
     if oh < 1 or ow < 1:
-        raise ValueError("unfold: kernel does not fit input")
-    hp, wp = h + 2 * pad, w + 2 * pad
+        raise ValueError("conv: kernel does not fit input")
+    if w.data.ndim != 2 or b.shape != w.shape[1:]:
+        raise ValueError(f"conv: weights {w.shape} and bias {b.shape} do not "
+                         f"match")
+    c_out = w.shape[1]
+    hp, wp = h + 2 * pad, width + 2 * pad
     padded = np.zeros((hp, wp, c))
-    padded[pad:pad + h, pad:pad + w] = x.data
-
+    padded[pad:pad + h, pad:pad + width] = x.data
     # a strided (oh, ow, c, k, k) view of every patch, copied once
     windows = np.lib.stride_tricks.sliding_window_view(
         padded, (kernel, kernel), axis=(0, 1))[::sh, ::sw]
-    out = Tensor._wrap(np.ascontiguousarray(windows).reshape(
-        oh * ow, c * kernel * kernel), False)
+    cols = np.ascontiguousarray(windows).reshape(oh * ow, c * kernel * kernel)
+    y = matmul_fwd(cols, w.data)
+    y += b.data
+    out = Tensor._wrap(y.reshape(oh, ow, c_out), False)
 
     def grad_fn(g):
-        g = g.reshape(oh, ow, c, kernel, kernel).transpose(3, 4, 0, 1, 2)
-        gpad = np.zeros((hp, wp, c))
-        # a padded element gets its terms in increasing output position,
-        # i.e. decreasing (ki, kj): the order a scatter-add over the patch
-        # rows would use, so the sums match it bitwise
-        for ki in reversed(range(kernel)):
-            for kj in reversed(range(kernel)):
-                gpad[ki:ki + sh * oh:sh, kj:kj + sw * ow:sw] += g[ki, kj]
-        return (np.ascontiguousarray(gpad[pad:pad + h, pad:pad + w]),)
+        g = g.reshape(oh * ow, c_out)
+        gx = None
+        if x.requires_grad:
+            gc = (g @ w.data.T).reshape(oh, ow, c, kernel, kernel)
+            # col2im into stride-phase planes: padded element (r, s) lives at
+            # planes[r % sh, s % sw, r // sh, s // sw], so each offset's add
+            # writes contiguous ow*c runs. A padded element gets its terms in
+            # increasing output position, i.e. decreasing (ki, kj): the order
+            # a scatter-add over the patch rows would use, so the sums match
+            # it bitwise
+            planes = np.zeros((sh, sw, -(-hp // sh), -(-wp // sw), c))
+            for ki in reversed(range(kernel)):
+                for kj in reversed(range(kernel)):
+                    planes[ki % sh, kj % sw, ki // sh:ki // sh + oh,
+                           kj // sw:kj // sw + ow] += gc[:, :, :, ki, kj]
+            gpad = planes.transpose(2, 0, 3, 1, 4).reshape(
+                sh * planes.shape[2], sw * planes.shape[3], c)
+            gx = gpad[pad:pad + h, pad:pad + width]
+        gw = cols.T @ g if w.requires_grad else None
+        gb = g.sum(axis=0) if b.requires_grad else None
+        return gx, gw, gb
 
-    return _record(out, (x,), grad_fn), oh, ow
+    return _record(out, (x, w, b), grad_fn)
 
 
 # ---------------------------------------------------------------------------

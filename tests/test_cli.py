@@ -313,3 +313,36 @@ class TestDecodeScoring:
                      "decode", "--checkpoint", ckpt, "--data", str(empty)])
         assert code == 1
         assert str(empty) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["decode", "train"])
+    @pytest.mark.parametrize("shape, reason", [
+        ((40, 60), "image height 40 != configured 32"),
+        ((32, 2100), "image yields 525 tokens, above max_image_tokens=512"),
+    ], ids=["too_tall", "too_wide"])
+    def test_image_that_does_not_fit_exits_1_naming_the_line(
+            self, tmp_path, capsys, monkeypatch, shape, reason, command):
+        from retline import cli, decode
+        from retline.data import write_pgm
+
+        cfg, ckpt, data_dir = self.checkpoint_and_data(tmp_path)
+        manifest = data_dir / "manifest.tsv"
+        sample_id, rel, _ = manifest.read_text().splitlines()[-1].split("\t")
+        write_pgm(os.path.join(str(data_dir), rel), np.zeros(shape))
+
+        def too_early(*args, **kwargs):
+            raise AssertionError("ran before every line was checked")
+
+        monkeypatch.setattr(decode, "beam_search", too_early)
+        monkeypatch.setattr(cli, "train", too_early)
+        if command == "decode":
+            args = ["decode", "--checkpoint", ckpt, "--data", str(manifest)]
+        else:  # the bad line is the last one, in the validation split
+            cfg.write_text(cfg.read_text() + "layers=1\nheads=2\nd_model=16\n"
+                           "d_ff=32\ncnn_channels=4,8,8\nval_count=1\n")
+            args = ["train", "--data", str(manifest)]
+        code = main(["--out-dir", str(tmp_path / "o"), "--config", str(cfg)]
+                    + args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{manifest}: {sample_id}: {reason}" in err
+        assert "Traceback" not in err

@@ -23,6 +23,7 @@ from retline.tensor import (
     backward,
     count_ops,
     matmul,
+    mul,
     sum_all,
 )
 
@@ -106,6 +107,46 @@ class TestImageEmbedding:
         tokens = Model(tiny_config(), seed=11).embed_image(
             render_line(text).image).data
         assert hashlib.sha256(tokens.tobytes()).hexdigest() == digest
+
+
+def toy_embedder_digests(width: int) -> tuple:
+    """sha256 of the embed_image tokens, and of every cnn*/img_proj gradient
+    of a seeded upstream, at the benchmark's toy CNN (8, 16, 16) and d=64,
+    with nonzero biases so that the bias adds are covered."""
+    model = Model(tiny_config(heads=4, d_model=64, d_ff=128,
+                              cnn_channels=(8, 16, 16)), seed=5)
+    rng = np.random.default_rng(width)
+    for name in ("cnn0_b", "cnn1_b", "cnn2_b", "img_proj_b"):
+        param = model.params[name]
+        param.data = rng.normal(0.0, 0.1, param.shape)
+    image = Tensor(rng.random((1, 32, width)))
+    with Tape():
+        tokens = model.embed_image(image)
+        upstream = Tensor(rng.standard_normal(tokens.shape))
+        backward(sum_all(mul(tokens, upstream)))
+    grads = hashlib.sha256()
+    for name in sorted(model.params):
+        if name.startswith(("cnn", "img_proj")):
+            grads.update(model.params[name].grad.tobytes())
+    return hashlib.sha256(tokens.data.tobytes()).hexdigest(), grads.hexdigest()
+
+
+# captured with unfold -> matmul -> bias add -> reshape per CNN stage, before
+# the fused tensor.conv replaced them
+PINNED_TOY_EMBEDDER = {
+    100: ("8a5ad681d3f2af8baa09ce993f156021a1322171d3c5b3b7f6c4f7ec677a1d71",
+          "d26ada47ec82a2a9c7a16a63f99b7e122d39bdc5c68539429363b0c8fcfc45e0"),
+    221: ("f2042a2993bf4630312b88c3bf5c840fdcb7f6d4394952b5e6d50701ef9ab986",
+          "0faaaae8b7cfa00d73e99a9006310b174e56fd7ce127b73c79a4af94c26a0e39"),
+    388: ("8ba5cb8d6eca1077a5609fd74e1bbb8ab28cfd8a86491262bd6c3aa1d15c735c",
+          "a40a1d95753e48cb96ad3cee6dfacaa86a7a5091f0463574ce9983250dec8e5b"),
+}
+
+
+class TestPinnedToyEmbedder:
+    @pytest.mark.parametrize("width", sorted(PINNED_TOY_EMBEDDER))
+    def test_tokens_and_gradients(self, width):
+        assert toy_embedder_digests(width) == PINNED_TOY_EMBEDDER[width]
 
 
 class TestTextEmbedding:

@@ -10,6 +10,7 @@ from retline.tensor import (
     bmatmul,
     concat_cols,
     concat_rows,
+    conv,
     count_ops,
     dropout,
     embedding_rows,
@@ -29,7 +30,6 @@ from retline.tensor import (
     slice_rows,
     softmax_rows,
     sum_all,
-    unfold,
 )
 
 
@@ -331,31 +331,95 @@ class TestRotation:
 
 
 def channels_last(chw):
-    """A (c, h, w) array as the (h, w, c) tensor `unfold` takes."""
+    """A (c, h, w) array as the (h, w, c) tensor `conv` takes."""
     return Tensor(np.ascontiguousarray(np.transpose(chw, (1, 2, 0))))
 
 
-class TestUnfold:
-    def test_shapes_and_values(self):
+def conv_case(c, c_out, kernel, seed):
+    """Seeded (c*k*k, c_out) weights and (c_out,) bias, requiring gradients."""
+    rng = np.random.default_rng(seed)
+    w = Tensor(rng.standard_normal((c * kernel * kernel, c_out)),
+               requires_grad=True)
+    b = Tensor(rng.standard_normal(c_out), requires_grad=True)
+    return w, b
+
+
+class TestConv:
+    def test_identity_weights_give_the_columns(self):
+        # with identity weights and no bias, the output is the im2col itself
         x = channels_last(np.arange(2 * 4 * 4, dtype=float).reshape(2, 4, 4))
-        cols, oh, ow = unfold(x, kernel=3, stride=(2, 2), pad=1)
-        assert (oh, ow) == (2, 2)
-        assert cols.shape == (4, 2 * 9)
+        y = conv(x, Tensor(np.eye(18)), Tensor(np.zeros(18)), kernel=3,
+                 stride=(2, 2), pad=1)
+        assert y.shape == (2, 2, 18)
         # top-left patch, channel 0, with zero padding around the corner
         np.testing.assert_array_equal(
-            cols.data[0, :9], [0, 0, 0, 0, 0, 1, 0, 4, 5]
+            y.data[0, 0, :9], [0, 0, 0, 0, 0, 1, 0, 4, 5]
         )
 
-    def test_gradient(self):
+    def test_counts_the_im2col_product(self):
+        x = channels_last(np.zeros((3, 6, 7)))
+        w, b = conv_case(3, 4, 3, seed=0)
+        with count_ops(OpCounter()) as ops:
+            y = conv(x, w, b, 3, (2, 1), 1)
+        m = y.shape[0] * y.shape[1]
+        assert ops.snapshot() == (m * 27 * 4, m * 4 * 26)
+
+    def test_mismatched_bias_rejected(self):
+        x = channels_last(np.zeros((1, 5, 5)))
+        with pytest.raises(ValueError, match="bias"):
+            conv(x, Tensor(np.zeros((9, 2))), Tensor(np.zeros(3)), 3, (1, 1), 1)
+
+    def test_kernel_larger_than_input_rejected(self):
+        x = channels_last(np.zeros((1, 2, 2)))
+        with pytest.raises(ValueError, match="does not fit"):
+            conv(x, Tensor(np.zeros((25, 1))), Tensor(np.zeros(1)), 5, (1, 1), 0)
+
+    @pytest.mark.parametrize("wrt", ["x", "w", "b"])
+    def test_gradient(self, wrt):
         x = channels_last(np.random.default_rng(2).standard_normal((2, 6, 5)))
-        err = grad_check(lambda t: sum_all(mul(unfold(t, 3, (2, 1), 1)[0],
-                                               unfold(t, 3, (2, 1), 1)[0])), x)
-        assert err <= 1e-6
+        w, b = conv_case(2, 3, 3, seed=3)
+        args = {"x": x, "w": w, "b": b}
+
+        def f(t):
+            y = conv(*(t if k == wrt else args[k] for k in "xwb"), 3, (2, 1), 1)
+            return sum_all(mul(y, y))
+
+        assert grad_check(f, args[wrt]) <= 1e-6
+
+    def test_two_calls_on_one_input_sum_their_gradients(self):
+        # one tape, the same x, w and b in two convolutions of one geometry:
+        # each output is what the call alone gives, and every gradient the
+        # sum of what each call alone gives, so no buffer is shared by calls
+        rng = np.random.default_rng(4)
+        x = channels_last(rng.standard_normal((3, 9, 8)))
+        x.requires_grad = True
+        w, b = conv_case(3, 4, 5, seed=5)
+        upstreams = [Tensor(rng.standard_normal((5, 4, 4))) for _ in range(2)]
+        outputs, alone = [], []
+        for upstream in upstreams:
+            for t in (x, w, b):
+                t.grad = None
+            with Tape():
+                y = conv(x, w, b, 5, (2, 2), 2)
+                backward(sum_all(mul(y, upstream)))
+            outputs.append(y.data)
+            alone.append([t.grad for t in (x, w, b)])
+        for t in (x, w, b):
+            t.grad = None
+        with Tape():
+            ys = [conv(x, w, b, 5, (2, 2), 2) for _ in upstreams]
+            first, second = (sum_all(mul(y, u)) for y, u in zip(ys, upstreams))
+            backward(add(first, second))
+        for y, expected in zip(ys, outputs):
+            assert np.array_equal(y.data, expected)
+        for t, one, two in zip((x, w, b), *alone):
+            assert np.array_equal(t.grad, one + two)
 
 
 def gather_unfold(x, kernel, stride, pad):
-    """The index-array im2col that `unfold` replaced: a fancy-index gather
-    forward and an `np.add.at` scatter backward. Returns (cols, backward)."""
+    """The index-array im2col that the strided `conv` columns replaced: a
+    fancy-index gather forward and an `np.add.at` scatter backward. Returns
+    (cols, backward)."""
     c, h, w = x.shape
     sh, sw = stride
     oh = (h + 2 * pad - kernel) // sh + 1
@@ -380,34 +444,42 @@ def gather_unfold(x, kernel, stride, pad):
     return padded.reshape(-1)[flat], backward_fn
 
 
-class TestUnfoldMatchesGather:
-    """The strided-view `unfold` equals the gather/scatter im2col bitwise,
-    forward and backward. The reference works on (c, h, w); `unfold` takes
-    the same values channels-last, and its gradient is transposed back."""
+class TestConvMatchesGather:
+    """`conv` equals the gather im2col times the weights plus the bias, and
+    its input gradient the `np.add.at` scatter of `g @ w.T`, bitwise, as do
+    the weight and bias gradients. The reference works on (c, h, w); `conv`
+    takes the same values channels-last, and its gradient is transposed
+    back."""
 
-    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("c", [1, 3, 8])
+    @pytest.mark.parametrize("c_out", [1, 4, 16])
     @pytest.mark.parametrize("kernel", [1, 3, 5])
     @pytest.mark.parametrize("stride", [(1, 1), (2, 1), (2, 2), (3, 2)])
     @pytest.mark.parametrize("pad", [0, 2])
     @pytest.mark.parametrize("hw", [(7, 9), (5, 11)])  # (5, 11) at k=5, pad=0: oh == 1
-    def test_bitwise(self, c, kernel, stride, pad, hw):
-        rng = np.random.default_rng(c * 1000 + kernel * 100 + pad)
+    def test_bitwise(self, c, c_out, kernel, stride, pad, hw):
+        seed = c * 1000 + c_out * 100 + kernel * 10 + pad
+        rng = np.random.default_rng(seed)
         chw = rng.standard_normal((c,) + hw)
         x = channels_last(chw)
         x.requires_grad = True
+        w, b = conv_case(c, c_out, kernel, seed)
         ref_cols, ref_backward = gather_unfold(chw, kernel, stride, pad)
-        upstream = Tensor(rng.standard_normal(ref_cols.shape))
+        upstream = rng.standard_normal((ref_cols.shape[0], c_out))
         with Tape():
-            cols, oh, ow = unfold(x, kernel, stride, pad)
-            backward(sum_all(mul(cols, upstream)))
-        assert cols.shape == (oh * ow, c * kernel * kernel)
-        assert np.array_equal(cols.data, ref_cols)
+            y = conv(x, w, b, kernel, stride, pad)
+            backward(sum_all(mul(y, Tensor(upstream.reshape(y.shape)))))
+        assert np.array_equal(y.data.reshape(-1, c_out),
+                              ref_cols @ w.data + b.data)
         assert np.array_equal(np.transpose(x.grad, (2, 0, 1)),
-                              ref_backward(upstream.data))
+                              ref_backward(upstream @ w.data.T))
+        assert np.array_equal(w.grad, ref_cols.T @ upstream)
+        assert np.array_equal(b.grad, upstream.sum(axis=0))
 
     def test_grid_has_a_single_output_row(self):
         x = channels_last(np.zeros((1, 5, 11)))
-        assert unfold(x, 5, (3, 2), 0)[1] == 1
+        assert conv(x, Tensor(np.zeros((25, 1))), Tensor(np.zeros(1)),
+                    5, (3, 2), 0).shape[0] == 1
 
 
 class TestDropout:
