@@ -43,7 +43,9 @@ def save_checkpoint(model: Model, path_prefix: str) -> None:
 
 
 def load_checkpoint(path_prefix: str) -> Model:
-    """A malformed manifest or blob raises ValueError naming the checkpoint."""
+    """The model, its parameters read straight from the blob (no random
+    initialization is drawn). A malformed manifest or blob raises ValueError
+    naming the checkpoint."""
     try:
         with open(path_prefix + ".json", "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -56,24 +58,26 @@ def load_checkpoint(path_prefix: str) -> Model:
         cfg_dict = dict(manifest["config"])
         cfg_dict["cnn_channels"] = tuple(cfg_dict["cnn_channels"])
         config = ModelConfig(**cfg_dict)
-        model = Model(config, seed=0)
-        for name, t in model.params.items():
+
+        def values(name: str, shape: tuple) -> np.ndarray:
             entry = manifest["tensors"].get(name)
             if entry is None:
                 raise ValueError(f"missing tensor {name!r}")
-            shape = tuple(entry["shape"])
-            if shape != t.shape:
+            stored = tuple(entry["shape"])
+            if stored != shape:
                 raise ValueError(
-                    f"tensor {name!r} has shape {shape} in the checkpoint, "
-                    f"model expects {t.shape}"
+                    f"tensor {name!r} has shape {stored} in the checkpoint, "
+                    f"model expects {shape}"
                 )
             count = int(np.prod(shape)) if shape else 1
             start = entry["offset"]
             end = start + 4 * count
             if end > len(raw):
                 raise ValueError(f"blob truncated while reading tensor {name!r}")
-            values = np.frombuffer(raw, dtype=_DTYPE, count=count, offset=start)
-            t.data = values.astype(np.float64).reshape(shape)
+            flat = np.frombuffer(raw, dtype=_DTYPE, count=count, offset=start)
+            return flat.astype(np.float64).reshape(shape)
+
+        model = Model(config, values=values)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path_prefix}: {type(exc).__name__}: {exc}") from exc
     return model

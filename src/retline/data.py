@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fonts import GLYPH_HEIGHT, GLYPH_WIDTH, glyph_bitmap, has_glyph
+from .fonts import GLYPH_HEIGHT, GLYPH_WIDTH, glyph_strip, has_glyph
 from .tensor import Tensor
 
 PAD_ID = 0
@@ -120,10 +120,9 @@ def render_line(text: str, height: int = DEFAULT_HEIGHT, seed: int = 0,
     width = 2 * _MARGIN + advance * len(text)
     img = np.zeros((height, width))
     top = (height - GLYPH_HEIGHT * scale) // 2
-    for pos, c in enumerate(text):
-        bitmap = np.kron(glyph_bitmap(c), np.ones((scale, scale)))
-        left = _MARGIN + pos * advance
-        img[top:top + GLYPH_HEIGHT * scale, left:left + GLYPH_WIDTH * scale] = bitmap
+    # each glyph cell, spacing column included, scaled by exact repetition
+    img[top:top + GLYPH_HEIGHT * scale, _MARGIN:width - _MARGIN] = (
+        glyph_strip(text).repeat(scale, axis=0).repeat(scale, axis=1))
     return LineSample(
         image=Tensor(img[None, :, :]),
         transcript=text,

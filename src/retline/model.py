@@ -134,6 +134,52 @@ def _f32(arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.float32).astype(np.float64)
 
 
+def _normal(std: float):
+    return lambda rng, shape: rng.normal(0.0, std, shape)
+
+
+def _uniform(bound: float):
+    return lambda rng, shape: rng.uniform(-bound, bound, shape)
+
+
+def _const(value: float):
+    return lambda rng, shape: np.full(shape, value)
+
+
+def _parameter_specs(cfg: ModelConfig):
+    """(name, shape, init) of every parameter, in the order the random
+    initialization draws them; `init(rng, shape)` gives initial values."""
+    zeros, ones = _const(0.0), _const(1.0)
+    c_in = 1
+    for stage, c_out in enumerate(cfg.cnn_channels):
+        fan_in = c_in * _CNN_KERNEL * _CNN_KERNEL
+        yield f"cnn{stage}_w", (fan_in, c_out), _normal(np.sqrt(2.0 / fan_in))
+        yield f"cnn{stage}_b", (c_out,), zeros
+        c_in = c_out
+    d, dff = cfg.d_model, cfg.d_ff
+    feat = cfg.cnn_channels[-1] * (cfg.height // _HEIGHT_DIVISOR)
+    yield "img_proj_w", (feat, d), _normal(1.0 / np.sqrt(feat))
+    yield "img_proj_b", (d,), zeros
+    yield "img_pos", (cfg.max_image_tokens, d), _uniform(0.02)
+    yield "char_embed", (cfg.vocab_size, d), _normal(0.02)
+    for i in range(cfg.layers):
+        pre = f"layer{i}."
+        for w in ("wq", "wk", "wv", "wo"):
+            yield pre + w, (d, d), _normal(1.0 / np.sqrt(d))
+        if cfg.mixer == "retention" and cfg.gamma_strategy == "gated":
+            yield pre + "w_gamma", (d, cfg.heads), _normal(1.0 / np.sqrt(d))
+        yield pre + "ln1_gain", (d,), ones
+        yield pre + "ln1_bias", (d,), zeros
+        yield pre + "ln2_gain", (d,), ones
+        yield pre + "ln2_bias", (d,), zeros
+        yield pre + "pff_w1", (d, dff), _normal(np.sqrt(2.0 / d))
+        yield pre + "pff_b1", (dff,), zeros
+        yield pre + "pff_w2", (dff, d), _normal(1.0 / np.sqrt(dff))
+        yield pre + "pff_b2", (d,), zeros
+    yield "head_w", (d, cfg.vocab_size), _normal(1.0 / np.sqrt(d))
+    yield "head_b", (cfg.vocab_size,), zeros
+
+
 def attention_allow(n_image: int, n_text: int) -> np.ndarray:
     """(N, N) keys each query of the attention mixer may see: every query the
     image keys, a text query also the text keys up to its own position."""
@@ -313,11 +359,18 @@ class DecoderLayer:
 class Model:
     """Decoder over a fused image+text token sequence."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0, values=None):
+        """Parameters are drawn from `seed`, unless `values` is given: then
+        each parameter is `values(name, shape)`, a float64 array of that
+        shape whose values are float32-representable (a checkpoint's), and
+        nothing is drawn."""
         self.config = config
-        self.params: dict[str, Tensor] = {}
-        self._init_params(np.random.default_rng(np.random.SeedSequence(
-            entropy=[seed, 2])))
+        if values is None:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 2]))
+        self.params: dict[str, Tensor] = {
+            name: Tensor(_f32(init(rng, shape)) if values is None
+                         else values(name, shape), requires_grad=True)
+            for name, shape, init in _parameter_specs(config)}
         # the config is frozen, so the table this schedule caches never goes
         # stale
         self.schedule = GammaSchedule(config.gamma_strategy, config.layers,
@@ -330,47 +383,6 @@ class Model:
         # decode steps' position rows, grown past max_text_len on demand
         self._positions = sinusoidal_positions(config.max_text_len,
                                                config.d_model)
-
-    # --- parameters
-
-    def _param(self, name: str, arr: np.ndarray) -> None:
-        self.params[name] = Tensor(_f32(arr), requires_grad=True)
-
-    def _init_params(self, rng: np.random.Generator) -> None:
-        cfg = self.config
-        c_in = 1
-        for stage, c_out in enumerate(cfg.cnn_channels):
-            fan_in = c_in * _CNN_KERNEL * _CNN_KERNEL
-            self._param(f"cnn{stage}_w",
-                        rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, c_out)))
-            self._param(f"cnn{stage}_b", np.zeros(c_out))
-            c_in = c_out
-        feat = cfg.cnn_channels[-1] * (cfg.height // _HEIGHT_DIVISOR)
-        self._param("img_proj_w",
-                    rng.normal(0.0, 1.0 / np.sqrt(feat), (feat, cfg.d_model)))
-        self._param("img_proj_b", np.zeros(cfg.d_model))
-        self._param("img_pos",
-                    rng.uniform(-0.02, 0.02, (cfg.max_image_tokens, cfg.d_model)))
-        self._param("char_embed",
-                    rng.normal(0.0, 0.02, (cfg.vocab_size, cfg.d_model)))
-        d, dff = cfg.d_model, cfg.d_ff
-        for i in range(cfg.layers):
-            pre = f"layer{i}."
-            for w in ("wq", "wk", "wv", "wo"):
-                self._param(pre + w, rng.normal(0.0, 1.0 / np.sqrt(d), (d, d)))
-            if cfg.mixer == "retention" and cfg.gamma_strategy == "gated":
-                self._param(pre + "w_gamma",
-                            rng.normal(0.0, 1.0 / np.sqrt(d), (d, cfg.heads)))
-            self._param(pre + "ln1_gain", np.ones(d))
-            self._param(pre + "ln1_bias", np.zeros(d))
-            self._param(pre + "ln2_gain", np.ones(d))
-            self._param(pre + "ln2_bias", np.zeros(d))
-            self._param(pre + "pff_w1", rng.normal(0.0, np.sqrt(2.0 / d), (d, dff)))
-            self._param(pre + "pff_b1", np.zeros(dff))
-            self._param(pre + "pff_w2", rng.normal(0.0, 1.0 / np.sqrt(dff), (dff, d)))
-            self._param(pre + "pff_b2", np.zeros(d))
-        self._param("head_w", rng.normal(0.0, 1.0 / np.sqrt(d), (d, cfg.vocab_size)))
-        self._param("head_b", np.zeros(cfg.vocab_size))
 
     def parameter_shapes(self) -> dict:
         return {name: t.shape for name, t in self.params.items()}

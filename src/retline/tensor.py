@@ -25,7 +25,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from scipy.special import erf
 
 LAYERNORM_EPS = 1e-5
 
@@ -142,12 +141,22 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+def _erf(x, out):
+    """scipy.special.erf, imported at the first GELU: the import costs a
+    process more time than numpy's own and about as much memory, and many
+    commands never run a GELU. The first call rebinds `_erf` to the ufunc
+    itself, so later calls reach it with the same single global lookup."""
+    global _erf
+    from scipy.special import erf as _erf
+    return _erf(x, out=out)
+
+
 def gelu_fwd(x: np.ndarray) -> tuple:
     """Gaussian error linear unit, exact erf form: x * Phi(x). Returns the
     output and Phi(x)."""
     # 0.5 * (1 + erf(x / sqrt 2)) on one temporary, operation for operation
     phi_cdf = x * _INV_SQRT2
-    erf(phi_cdf, out=phi_cdf)
+    _erf(phi_cdf, out=phi_cdf)
     phi_cdf += 1.0
     phi_cdf *= 0.5
     return x * phi_cdf, phi_cdf

@@ -1,10 +1,16 @@
 import hashlib
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from retline.cli import load_config, main, parse_range
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 class TestConfig:
@@ -346,3 +352,50 @@ class TestDecodeScoring:
         assert code == 1
         assert f"{manifest}: {sample_id}: {reason}" in err
         assert "Traceback" not in err
+
+
+class TestStartUp:
+    # commands that run no GELU never load scipy; the first GELU loads it
+    # and computes x * (0.5 * (1 + erf(x / sqrt 2))) as before, bitwise
+    SCRIPT = textwrap.dedent("""
+        import contextlib, io, os, sys
+        import numpy as np
+        from retline import cli, tensor
+
+        out, cfg = sys.argv[1], sys.argv[2]
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            codes = [
+                cli.main(["--out-dir", os.path.join(out, "sweep"),
+                          "bench-memory", "--beam", "1,2", "--decoded", "4,8",
+                          "--d", "16", "--heads", "2"]),
+                cli.main(["--out-dir", os.path.join(out, "data"),
+                          "--config", cfg, "gen-data"]),
+            ]
+            try:
+                cli.main(["frobnicate"])
+            except SystemExit as exc:
+                codes.append(exc.code)
+        print(codes, "scipy" in sys.modules)
+
+        x = np.linspace(-7.0, 7.0, 2001)
+        y, _ = tensor.gelu_fwd(x)
+        loaded = "scipy" in sys.modules
+        from scipy.special import erf
+        phi = x * (1.0 / np.sqrt(2.0))
+        erf(phi, out=phi)
+        phi += 1.0
+        phi *= 0.5
+        print(loaded, tensor._erf is erf, y.tobytes() == (x * phi).tobytes())
+    """)
+
+    def test_scipy_loads_at_the_first_gelu(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("count=3\nmin_len=2\nmax_len=4\nchars=abc\n")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("RETLINE_CONFIG", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path), str(cfg)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[0, 0, 2] False", "True True True"]

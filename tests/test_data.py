@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -21,6 +22,7 @@ from retline.data import (
     tokenize,
     write_pgm,
 )
+from retline.fonts import SUPPORTED_CHARS
 from retline.tensor import Tensor
 
 
@@ -276,3 +278,93 @@ class TestManifest:
         ta = tokenize("abab", va, 8)
         tb = tokenize("cdcd", vb, 8)
         np.testing.assert_array_equal(ta, tb)
+
+
+# sha256 of render_line pixels and of generate_dataset's files, captured
+# before render_line stopped scaling glyphs with np.kron; the texts cover
+# every builtin glyph
+PINNED_RENDER_TEXTS = ("the quick brown fox", "jumps over a lazy dog",
+                       "0123456789", "vwxyz k")
+PINNED_RENDER = {
+    16: (
+        "120ca203c90eefd8ddc8603fa01ad3e31b52e2f9cd4933ca155a8644b66d1279",
+        "85bc6230870963711c7d92bf42604974814a6c344a51a6be96fab613524f5330",
+        "c6cabf2c2be497a9651ac22f184a48afee11228676217bfb8a00fa2274a6d819",
+        "9be781a4d6556f6a7c055fb2c72e0f71996356d862ea5817567edfbb4b25b3c6",
+    ),
+    32: (
+        "bd141163448c98ad542cf282155818e509996d2dab1605476af4bfb99aa5f5fa",
+        "a12c2effd2402ba3c8098ff511235e5174ee110ffd73d2ee11d043d92b66a2eb",
+        "feddc4b938b3e46218e580b20c7f47bc733ebbed5c76d2038f351c43a6c97fb5",
+        "57955e1cf95454cf292800e6a69a6fe8a4394d4bd57d98f1c24b2e6866ace808",
+    ),
+    48: (
+        "9f70d9395469a56d44746e2e17eb944fd3c81f298411d26d8620a70ca23a5802",
+        "12c04250293ee3e6b89580285abedd4b1d53fd52192f5375253be92a0022df05",
+        "b36ba81dedee1e211920e1c2f707e1f5c80bbe6fa6737d591e1bcfe2d84013d9",
+        "27ba89c38eb5f7b61a90a33c07f6683a7609161cb7c0d7e1135c0d9f2b3d77e5",
+    ),
+}
+PINNED_DATASET_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789 "
+PINNED_DATASET = {
+    False: {
+        "dataset.json":
+            "3558a3be87b179f54cd5bad2b9747c1983ed53d32fa81e98f480df1f579ddf1e",
+        "manifest.tsv":
+            "40e5ee04c8ee19204e518a75d89d7bc1e949593e863a8f180ef0a0f263407d3f",
+        "images/line00000.pgm":
+            "1a724b4d073d44d20345d60c66468024cee3a0556bee9e4f8eca5a549ca72f5a",
+        "images/line00001.pgm":
+            "74613a61fd8776726f9695fbc1526d9861882ed8ace63d02a1cbbd91e23bf587",
+        "images/line00002.pgm":
+            "54e2fd33654ee48a29b9f2987c99f3a26f7b0accb82a3e0ebce56f5db842529c",
+        "images/line00003.pgm":
+            "3848df1a4e364336cce932cca4437f7f6c2a22d8ae6e990c7800d0073b958b90",
+        "images/line00004.pgm":
+            "368aeca27e847d1c774f859a80cd491d43093751f155903cc72ff6b57594d7ad",
+        "images/line00005.pgm":
+            "dabc5756bacf15ce16a14b290b5d5ea024f3b9f2b8c85a376f771e64e75b0dd8",
+    },
+    True: {
+        "dataset.json":
+            "30cd6a79cc612fec31e7d0561a89cd49e77c2e8f2275646e7a160b24b443828b",
+        "manifest.tsv":
+            "d280536d063677139bc4ab9a5f62813c705024d2f6fb52683a8216b99052d769",
+        "images/line00000.pgm":
+            "8016c61b6678875cc9a923bf9549b4aeb64cc9223ae459099d883b1defda87bd",
+        "images/line00001.pgm":
+            "fb53a340a77f6dc0874b36ec24aa09f7102024cc86e5649894a99cf275f60167",
+        "images/line00002.pgm":
+            "3a72899f49b0bafd4ff0cc2667bb9e5cb0f240cb836654d09484fb333306dcbe",
+        "images/line00003.pgm":
+            "e7fca904c90a51036e916068dccd6895ab8d52340b44e3ada40b1f3c6d91a3b4",
+        "images/line00004.pgm":
+            "ef728689d7720d35fbc2d7704828b891e213363192289f1be9c003e261f0678d",
+        "images/line00005.pgm":
+            "2eefc497a96a601b9ee9dbd796e8209993c9df18fff407a00b8618feed280911",
+    },
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestPinnedRenderDigests:
+    def test_texts_cover_every_glyph(self):
+        assert set("".join(PINNED_RENDER_TEXTS)) == set(SUPPORTED_CHARS)
+
+    @pytest.mark.parametrize("height", sorted(PINNED_RENDER))
+    def test_render_line_pixels(self, height):
+        digests = tuple(_sha256(render_line(t, height).image.data.tobytes())
+                        for t in PINNED_RENDER_TEXTS)
+        assert digests == PINNED_RENDER[height]
+
+    @pytest.mark.parametrize("augment_lines", [False, True])
+    def test_generate_dataset_files(self, tmp_path, augment_lines):
+        generate_dataset(tmp_path, PINNED_DATASET_CHARS, count=6, min_len=3,
+                         max_len=20, height=32, seed=41,
+                         augment_lines=augment_lines)
+        written = {path.relative_to(tmp_path).as_posix(): _sha256(path.read_bytes())
+                   for path in tmp_path.rglob("*") if path.is_file()}
+        assert written == PINNED_DATASET[augment_lines]

@@ -577,6 +577,27 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(str(tmp_path / "m"))
 
+    def test_load_draws_no_random_initialization(self, tmp_path, monkeypatch):
+        model = Model(tiny_config(), seed=8)
+        save_checkpoint(model, str(tmp_path / "m"))
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("loading a checkpoint drew random parameters")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded = load_checkpoint(str(tmp_path / "m"))
+        assert list(loaded.params) == list(model.params)
+        for name, t in model.params.items():
+            assert loaded.params[name].data.dtype == np.float64
+            assert loaded.params[name].data.tobytes() == t.data.tobytes()
+
+    def test_missing_tensor_names_it_and_the_file(self, tmp_path):
+        prefix = self.edited_manifest(
+            tmp_path, lambda m: m["tensors"].pop("layer0.pff_b1"))
+        with pytest.raises(ValueError, match="missing tensor 'layer0.pff_b1'") as err:
+            load_checkpoint(prefix)
+        assert prefix in str(err.value)
+
     def edited_manifest(self, tmp_path, edit):
         import json
 
