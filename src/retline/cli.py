@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -327,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", default="out")
-    parser.add_argument("--config", default=os.environ.get("RETLINE_CONFIG"))
+    parser.add_argument("--config", default=None,
+                        help="config file; defaults to $RETLINE_CONFIG")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the invariant suite")
@@ -380,9 +382,17 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads, built once per process: building it costs
+    more than a parse, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.config is None:
+        args.config = os.environ.get("RETLINE_CONFIG")
     try:
         config = load_config(args.config)
         return _COMMANDS[args.command](args, config)

@@ -14,14 +14,18 @@ attention twin only supports the kv backend (softmax over text history has
 no recurrent form).
 
 The image cache, one (keys, values) pair of plain float64 arrays per layer,
-is built before the first step with no tape. A step runs on plain float64
-arrays through the tensor module's forward kernels: it records no tape,
-whatever tape is active, and registers the counts of the Tensor primitives.
+is built before the first step with no tape; the steps read its head-major
+views (`image_cache`). A step runs on plain float64 arrays through the
+tensor module's forward kernels: it records no tape, whatever tape is
+active, and registers the counts of the Tensor primitives.
 The recurrent backend advances each lane's state in place, which is safe
-because decode owns every state array: `fresh` allocates them and `reindex`
-gathers fresh copies. Either backend's state gathers (reindexes) its lanes
-by parent whenever beam pruning moves hypotheses; when pruning keeps every
-lane in its place, always so at beam 1, the gather is skipped.
+because decode owns every state array: a search allocates its state
+buffers, and one k⊗v buffer that every layer's step overwrites in turn,
+once for `beam` lanes, and `reindex` gathers the lanes into a second set of
+buffers and swaps the two. The kv backend's `reindex` gathers fresh copies.
+Either backend's state gathers (reindexes) its lanes by parent whenever beam
+pruning moves hypotheses; when pruning keeps every lane in its place, always
+so at beam 1, the gather is skipped.
 
 Stats rows record, per step: scalar multiply/add counts from the tensor
 instrumentation and the live state elements held by all lanes.
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EOS_ID, PAD_ID, SOS_ID
+from .fusion import image_heads
 from .model import Model
 from .tensor import OpCounter, Tensor, count_ops, log_softmax_fwd
 
@@ -42,27 +47,52 @@ BACKENDS = ("recurrent", "kv")
 STATS_COLUMNS = ("step", "backend", "beam", "mults", "adds", "live_elements")
 
 
+def _checked_parents(parent_indices, lanes: int) -> np.ndarray:
+    parents = np.asarray(parent_indices, dtype=np.intp)
+    # a beam's few indices are bounded faster as a list than by reductions
+    listed = parents.tolist()
+    if min(listed) < 0 or max(listed) >= lanes:
+        bad = next(p for p in listed if p < 0 or p >= lanes)
+        raise ValueError(f"parent index {bad} out of range for {lanes} lanes")
+    return parents
+
+
 @dataclass
 class RecurrentDecodeState:
     """Retention states of every live lane: one (lanes, H, d_head, d_head)
     array per layer. A lane holds layers * heads * d_head^2 elements,
-    independent of decoded length."""
+    independent of decoded length. The states are the leading rows of
+    per-layer `buffers`; `reindex` gathers into the `spare` buffers and
+    swaps the two sets, and `outer` is the k⊗v buffer every layer's step
+    overwrites in turn. `fresh` allocates them all, once, for the most
+    lanes the states will hold."""
 
     states: list
+    buffers: list
+    spare: list
+    outer: np.ndarray
 
     @classmethod
-    def fresh(cls, config) -> "RecurrentDecodeState":
-        shape = (1, config.heads, config.d_head, config.d_head)
-        return cls(states=[np.zeros(shape) for _ in range(config.layers)])
+    def fresh(cls, config, lanes: int = 1) -> "RecurrentDecodeState":
+        """One lane of zero states, in buffers for `lanes` lanes."""
+        shape = (lanes, config.heads, config.d_head, config.d_head)
+        buffers = [np.zeros(shape) for _ in range(config.layers)]
+        return cls(states=[b[:1] for b in buffers], buffers=buffers,
+                   spare=[np.empty(shape) for _ in range(config.layers)],
+                   outer=np.empty(shape))
 
     def live_elements(self) -> int:
-        return sum(s.size for s in self.states)
+        return len(self.states) * self.states[0].size
 
     def reindex(self, parents) -> "RecurrentDecodeState":
-        """Gather every layer's states by parent index into fresh arrays, so
-        each lane owns the state a step advances in place."""
-        parents = np.asarray(parents, dtype=np.intp)
-        return RecurrentDecodeState(states=[s[parents] for s in self.states])
+        """Gather every layer's states by parent index into the spare
+        buffers, so each lane owns the state a step advances in place."""
+        parents = _checked_parents(parents, self.states[0].shape[0])
+        # the indices are checked, so no mode needs to buffer the output
+        states = [s.take(parents, axis=0, out=b[:parents.size], mode="clip")
+                  for s, b in zip(self.states, self.spare)]
+        return RecurrentDecodeState(states=states, buffers=self.spare,
+                                    spare=self.buffers, outer=self.outer)
 
 
 @dataclass
@@ -83,8 +113,8 @@ class KVDecodeState:
                    gate_logs=[None] * config.layers)
 
     def live_elements(self) -> int:
-        return sum(k.size + v.size for k, v in zip(self.keys, self.values)
-                   if k is not None)
+        keys = self.keys[0]
+        return 0 if keys is None else 2 * len(self.keys) * keys.size
 
     def reindex(self, parents) -> "KVDecodeState":
         return kv_reindex(self, parents)
@@ -93,11 +123,7 @@ class KVDecodeState:
 def kv_reindex(state: KVDecodeState, parent_indices) -> KVDecodeState:
     """Gather every layer's history by parent index into freshly allocated
     arrays (beam pruning cannot reuse the old storage in place)."""
-    parents = np.asarray(parent_indices, dtype=np.intp)
-    lanes = state.keys[0].shape[0]
-    if parents.min() < 0 or parents.max() >= lanes:
-        bad = parents[(parents < 0) | (parents >= lanes)][0]
-        raise ValueError(f"parent index {bad} out of range for {lanes} lanes")
+    parents = _checked_parents(parent_indices, state.keys[0].shape[0])
 
     def gather(arrays):
         return [None if a is None else a[parents] for a in arrays]
@@ -113,13 +139,21 @@ class DecodeResult:
     stats: tuple          # one dict per step, STATS_COLUMNS keys
 
 
+def image_cache(model: Model, image: Tensor) -> tuple:
+    """The model's image cache for `image` as the head-major views a lane
+    step reads, one (keys, values) pair per layer (`fusion.image_heads`)."""
+    heads = model.config.heads
+    return tuple(image_heads(keys, values, heads)
+                 for keys, values in model.build_image_cache(image))
+
+
 def _lane_logits_recurrent(model, state, cache, tokens, position):
     """(lanes, vocab) next-token logits for every live lane; advances the
     lanes' states in place."""
     x = model.embed_text_step(tokens, position)
-    for li, layer in enumerate(model.layers):
-        x, state.states[li] = layer.step_recurrent(x, state.states[li],
-                                                   cache[li])
+    outer = state.outer[:x.shape[0]]
+    for layer, s, image in zip(model.layers, state.states, cache):
+        x = layer.step_recurrent(x, s, image, outer)
     return model.head_logits(x)
 
 
@@ -132,6 +166,11 @@ def _lane_logits_kv(model, state, cache, tokens, position):
             layer.step_kv(x, state.keys[li], state.values[li],
                           cache[li], state.gate_logs[li]))
     return model.head_logits(x)
+
+
+# the specials PAD, SOS and EOS are the first ids; every later one may
+# extend a lane
+_FIRST_CANDIDATE = max(PAD_ID, SOS_ID, EOS_ID) + 1
 
 
 def beam_search(model: Model, image: Tensor, beam: int,
@@ -159,24 +198,21 @@ def beam_search(model: Model, image: Tensor, beam: int,
         max_len = model.config.max_text_len
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    cache = model.build_image_cache(image)
+    cache = image_cache(model, image)
 
     # looked up per call, so that patched module attributes take effect
     if backend == "recurrent":
-        state_cls, lane_logits = RecurrentDecodeState, _lane_logits_recurrent
+        state = RecurrentDecodeState.fresh(model.config, beam)
+        lane_logits = _lane_logits_recurrent
     else:
-        state_cls, lane_logits = KVDecodeState, _lane_logits_kv
-    state = state_cls.fresh(model.config)
+        state, lane_logits = KVDecodeState.fresh(model.config), _lane_logits_kv
     # the live lanes: cumulative scores, token histories, last tokens
     scores = np.zeros(1)
     histories = [()]
     tokens = np.array([SOS_ID])
     best_score, best_tokens = -np.inf, ()  # the best finished hypothesis
     stats = []
-
-    # every token id except the specials PAD, SOS and EOS may extend a lane
-    ids = np.arange(model.config.vocab_size)
-    candidate_ids = ids[(ids != PAD_ID) & (ids != SOS_ID) & (ids != EOS_ID)]
+    candidates = model.config.vocab_size - _FIRST_CANDIDATE
 
     for step in range(1, max_len + 1):
         counter = OpCounter()
@@ -191,18 +227,19 @@ def beam_search(model: Model, image: Tensor, beam: int,
             best_score = float(top)
             best_tokens = min(histories[lane]
                               for lane in np.flatnonzero(eos_scores == top))
-        scores = scores[:, None] + log_probs[:, candidate_ids]
+        scores = scores[:, None] + log_probs[:, _FIRST_CANDIDATE:]
         # higher score first; ties toward earlier parent, then smaller id
         # (the flattened order is parent-major, and the sort is stable)
-        order = np.argsort(-scores, axis=None, kind="stable")[:beam]
-        parents, cols = np.divmod(order, candidate_ids.size)
-        if not np.array_equal(parents, np.arange(len(histories))):
+        order = (-scores).argsort(axis=None, kind="stable")[:beam]
+        parents, cols = np.divmod(order, candidates)
+        lane_parents = parents.tolist()
+        if lane_parents != list(range(len(histories))):
             # skipped when every lane stays in its place, as always at beam 1
             state = state.reindex(parents)
         scores = scores.ravel()[order]
-        tokens = candidate_ids[cols]
+        tokens = cols + _FIRST_CANDIDATE
         histories = [histories[p] + (t,)
-                     for p, t in zip(parents.tolist(), tokens.tolist())]
+                     for p, t in zip(lane_parents, tokens.tolist())]
         stats.append({
             "step": step,
             "backend": backend,

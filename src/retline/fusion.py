@@ -19,14 +19,18 @@ its text rows.
 
 Decode steps (`marmf_recurrent_step`) run on plain float64 arrays through
 the tensor module's forward kernels, so they record no tape and build no
-gradient closures, and they advance the retention states in place. The image
-cache they read holds one (keys, values) pair of plain (N_I, d) arrays per
-layer; each layer's image rows come from the parallel forward of an
-image-only sequence.
+gradient closures, and they advance the retention states in place. A step
+forms k⊗v as one elementwise product, exact because each entry is a single
+term, into a buffer the caller may reuse across steps, and counts it as the
+one-term products it is. The image cache holds one (keys, values) pair of
+plain (N_I, d) arrays per layer, each layer's image rows from the parallel
+forward of an image-only sequence; a step reads `image_heads`' head-major
+views of it, made once per decoded line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +57,7 @@ from .tensor import (
     mul_const,
     normalize_rows,
     permute,
+    register_matmul_cost,
     reshape,
     slice_cols,
     slice_rows,
@@ -286,55 +291,74 @@ def softmax_mix(q: np.ndarray, k_t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Softmax attention on plain arrays: (b, m, d_head) queries against
     (b, d_head, n) keys, the row softmax of the scaled scores times the
     (b, n, d_head) values."""
-    weights = softmax_fwd(bmatmul_fwd(q, k_t) * (1.0 / np.sqrt(q.shape[2])))
+    weights = softmax_fwd(bmatmul_fwd(q, k_t) * (1.0 / math.sqrt(q.shape[2])))
     return bmatmul_fwd(weights, v)
 
 
-def image_term(q: np.ndarray, k_img: np.ndarray, v_img: np.ndarray,
-               heads: int) -> np.ndarray:
-    """Every lane's `softmax_mix` over the cached image keys and values:
-    (lanes, d) queries in, (lanes, d) head outputs out. The cache keeps its
-    (N_I, d) row layout; the head-major operands are strided views of it."""
+def image_heads(keys: np.ndarray, values: np.ndarray, heads: int) -> tuple:
+    """One layer's cached (N_I, d) image keys and values as the head-major
+    operands of `image_term`: (H, d_head, N_I) keys and (H, N_I, d_head)
+    values. They are strided views, not copies: BLAS rounds the scores of a
+    contiguous head-major copy differently."""
+    n, d = keys.shape
+    split = (n, heads, d // heads)
+    return (keys.reshape(split).transpose(1, 2, 0),
+            values.reshape(split).transpose(1, 0, 2))
+
+
+def image_term(q: np.ndarray, image: tuple) -> np.ndarray:
+    """Every lane's `softmax_mix` over one layer's head-major image keys and
+    values (`image_heads`): (lanes, d) queries in, (lanes, d) head outputs
+    out."""
+    k_t, v = image
     lanes, d = q.shape
-    n, dh = k_img.shape[0], d // heads
-    out = softmax_mix(q.reshape(lanes, heads, dh).transpose(1, 0, 2),
-                      k_img.reshape(n, heads, dh).transpose(1, 2, 0),
-                      v_img.reshape(n, heads, dh).transpose(1, 0, 2))
+    heads, dh = k_t.shape[:2]
+    out = softmax_mix(q.reshape(lanes, heads, dh).transpose(1, 0, 2), k_t, v)
     return out.transpose(1, 0, 2).reshape(lanes, d)
 
 
-def _fused_step(s, k_img, v_img, q, k, v, gammas):
+def _fused_step(s, image, q, k, v, decay, outer):
     """Recurrent fusion for every lane and head at once. `s` holds the
     (lanes, H, d_head, d_head) states, which this step advances in place
-    (s *= gamma; s += k^T v), q/k/v the (lanes, d) projected rows, `gammas`
-    one decay per head, shared (H,) or per lane (lanes, H). Returns the
-    (lanes, d) head outputs."""
+    (s *= decay; s += k^T v), q/k/v the (lanes, d) projected rows. k^T v is
+    one elementwise product (an einsum with no summed index) into `outer`,
+    a new array if None, and is registered as the lanes * H one-term
+    (d_head, 1) x (1, d_head) products it is.
+    Returns the (lanes, d) head outputs."""
     lanes, heads, dh, _ = s.shape
-    kv = bmatmul_fwd(k.reshape(-1, dh, 1), v.reshape(-1, 1, dh))
-    s *= np.reshape(gammas, (-1, heads, 1, 1))
-    s += kv.reshape(s.shape)
-    o_text = bmatmul_fwd((q * (1.0 / np.sqrt(dh))).reshape(-1, 1, dh),
+    register_matmul_cost(lanes * heads * dh, 1, dh)
+    outer = np.einsum("lhi,lhj->lhij", k.reshape(lanes, heads, dh),
+                      v.reshape(lanes, heads, dh), out=outer)
+    s *= decay
+    s += outer
+    o_text = bmatmul_fwd((q * (1.0 / math.sqrt(dh))).reshape(-1, 1, dh),
                          s.reshape(-1, dh, dh))
-    return o_text.reshape(lanes, -1) + image_term(q, k_img, v_img, heads)
+    out = o_text.reshape(lanes, -1)
+    out += image_term(q, image)
+    return out
 
 
 def marmf_recurrent_step(
     state: np.ndarray,
-    cache_layer: tuple,
+    image: tuple,
     x: np.ndarray,
     proj: ARMFProjections,
     cfg: ARMFHeadConfig,
-    gammas,
+    decay: np.ndarray,
+    outer: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head recurrent fusion step for a batch of decode lanes: `x`
     holds one (lanes, d) input row per lane and `state` their
     (lanes, H, d_head, d_head) retention states, which the step advances in
-    place. `gammas` holds one decay per head, (H,), or per lane and head,
-    (lanes, H), for data-dependent gates already evaluated at this position.
+    place. `image` holds the layer's head-major image keys and values
+    (`image_heads`). `decay` scales the states: one gamma per head as an
+    (H, 1, 1) array, or per lane and head as (lanes, H, 1, 1), for
+    data-dependent gates already evaluated at this position. `outer`, if
+    given, is a (lanes, H, d_head, d_head) buffer the step may overwrite.
     Returns the (lanes, d) output and the advanced states."""
     if state.shape[1:] != (cfg.heads, cfg.d_head, cfg.d_head):
         raise ValueError(f"state shape {state.shape} does not match the heads")
-    merged = _fused_step(state, *cache_layer,
+    merged = _fused_step(state, image,
                          *(matmul_fwd(x, w.data)
-                           for w in (proj.wq, proj.wk, proj.wv)), gammas)
+                           for w in (proj.wq, proj.wk, proj.wv)), decay, outer)
     return matmul_fwd(merged, proj.wo.data), state

@@ -17,6 +17,7 @@ model before any of that work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,6 @@ from .tensor import (
     concat_rows,
     conv,
     dropout,
-    embedding_fwd,
     embedding_rows,
     gelu,
     gelu_fwd,
@@ -222,6 +222,13 @@ class DecoderLayer:
         self.ln = {k: p[pre + k] for k in
                    ("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias")}
         self.pff = {k: p[pre + k] for k in ("pff_w1", "pff_b1", "pff_w2", "pff_b2")}
+        if cfg.mixer == "retention" and cfg.gamma_strategy != "gated":
+            # decode steps' fixed decay, from the frozen schedule: per head,
+            # shaped to scale (lanes, H, d_head, d_head) states, and a table
+            # of powers gamma^(n-1) .. gamma^0 for the kv backend's text keys
+            gammas = self.schedule.layer_values(index)
+            self._state_decay = gammas[:, None, None]
+            self._text_powers = np.empty((cfg.heads, 0))
 
     # --- parallel (training) path
 
@@ -271,48 +278,63 @@ class DecoderLayer:
     # --- decode paths: one (lanes, d) array row per live beam lane, through
     # the tensor forward kernels (no tape, no dropout)
 
-    def layer_gammas(self, x: np.ndarray) -> np.ndarray:
-        """Per-head decay factors for one decode step: the schedule row (H,),
-        or under the gated strategy one row per lane (lanes, H)."""
-        cfg = self.config
-        if cfg.gamma_strategy == "gated":
-            z = Tensor._wrap(matmul_fwd(x, self.gate_weights.data), False)
-            return gate_gammas(z, cfg.tau).data
-        return self.schedule.layer_values(self.index)
+    def step_gates(self, x: np.ndarray) -> np.ndarray:
+        """The gated strategy's per-head decay factors for one decode step,
+        one row per lane: (lanes, H)."""
+        z = Tensor._wrap(matmul_fwd(x, self.gate_weights.data), False)
+        return gate_gammas(z, self.config.tau).data
+
+    def _text_decay(self, t: int) -> np.ndarray:
+        """(H, t) decay gamma^(t-1) .. gamma^0 of a fixed schedule over t
+        text keys: the last t columns of the table of powers, which grows
+        on demand."""
+        n = self._text_powers.shape[1]
+        if t > n:
+            n = max(2 * n, t)
+            gammas = self.schedule.layer_values(self.index)
+            self._text_powers = gammas[:, None] ** np.arange(
+                n - 1, -1, -1, dtype=np.float64)
+        return self._text_powers[:, n - t:]
 
     def _post_step(self, x: np.ndarray, mixed: np.ndarray) -> np.ndarray:
         """`_post` for decode steps: residual, layer norm, feed-forward,
-        residual, layer norm."""
+        residual, layer norm. Overwrites `mixed`; the sums run in place on
+        the step's own temporaries."""
         ln, pff = self.ln, self.pff
-        y = layer_norm_fwd(x + mixed, ln["ln1_gain"].data,
-                           ln["ln1_bias"].data)[0]
-        hidden = gelu_fwd(matmul_fwd(y, pff["pff_w1"].data)
-                          + pff["pff_b1"].data)[0]
-        ff = matmul_fwd(hidden, pff["pff_w2"].data) + pff["pff_b2"].data
-        return layer_norm_fwd(y + ff, ln["ln2_gain"].data,
-                              ln["ln2_bias"].data)[0]
+        mixed += x
+        y = layer_norm_fwd(mixed, ln["ln1_gain"].data, ln["ln1_bias"].data)[0]
+        hidden = matmul_fwd(y, pff["pff_w1"].data)
+        hidden += pff["pff_b1"].data
+        ff = matmul_fwd(gelu_fwd(hidden)[0], pff["pff_w2"].data)
+        ff += pff["pff_b2"].data
+        ff += y
+        return layer_norm_fwd(ff, ln["ln2_gain"].data, ln["ln2_bias"].data)[0]
 
-    def step_recurrent(self, x: np.ndarray, state: np.ndarray,
-                       cache_entry: tuple):
+    def step_recurrent(self, x: np.ndarray, state: np.ndarray, image: tuple,
+                       outer: np.ndarray) -> np.ndarray:
         """Recurrent step (retention mixer only) over the lanes'
         (lanes, H, d_head, d_head) states, which it advances in place;
-        returns the output and the states."""
-        mixed, state = marmf_recurrent_step(
-            state, cache_entry, x, self.projections, self.head_cfg,
-            self.layer_gammas(x),
-        )
-        return self._post_step(x, mixed), state
+        `image` holds the layer's head-major image keys and values and
+        `outer` a k⊗v buffer as `marmf_recurrent_step` takes them. Returns
+        the block output."""
+        if self.config.gamma_strategy == "gated":
+            decay = self.step_gates(x)[:, :, None, None]
+        else:
+            decay = self._state_decay
+        mixed, _ = marmf_recurrent_step(state, image, x, self.projections,
+                                        self.head_cfg, decay, outer)
+        return self._post_step(x, mixed)
 
-    def step_kv(self, x: np.ndarray, keys, values, cache_entry: tuple,
+    def step_kv(self, x: np.ndarray, keys, values, image: tuple,
                 gate_logs=None):
         """One step (either mixer) against the lanes' cached text history:
         (lanes, H, t, d_head) keys and values, None before the first step,
-        and under the gated strategy the (lanes, H, t) cumulative log-gates.
-        Returns the block output and the histories grown by this position,
-        each in a freshly allocated array."""
+        and under the gated strategy the (lanes, H, t) cumulative log-gates;
+        `image` holds the layer's head-major image keys and values
+        (`fusion.image_heads`). Returns the block output and the histories
+        grown by this position, each in a freshly allocated array."""
         cfg = self.config
         lanes, heads, dh = x.shape[0], cfg.heads, cfg.d_head
-        k_img, v_img = cache_entry
         proj = self.projections
         q = matmul_fwd(x, proj.wq.data)
         k_new = matmul_fwd(x, proj.wk.data).reshape(lanes, heads, 1, dh)
@@ -323,34 +345,34 @@ class DecoderLayer:
         keys, values = k_new, v_new
         t = keys.shape[2]
         q_rows = q.reshape(-1, 1, dh)
-        inv = 1.0 / np.sqrt(dh)
         if cfg.mixer == "retention":
-            gammas = self.layer_gammas(x)
             if cfg.gamma_strategy == "gated":
                 # product-form decay: weight(m) = exp(L_t - L_m) over the
                 # cumulative log-gate sums L
-                step_logs = np.log(gammas)[:, :, None]
+                step_logs = np.log(self.step_gates(x))[:, :, None]
                 gate_logs = (step_logs if gate_logs is None else np.concatenate(
                     [gate_logs, gate_logs[:, :, -1:] + step_logs], axis=2))
                 decay = np.exp(gate_logs[:, :, -1:] - gate_logs)
             else:
-                decay = gammas[:, None] ** np.arange(t - 1, -1, -1,
-                                                     dtype=np.float64)
+                decay = self._text_decay(t)
             dots = bmatmul_fwd(q_rows, keys.reshape(-1, t, dh).transpose(0, 2, 1))
-            decayed = (dots.reshape(lanes, heads, t) * inv) * decay
-            merged = (bmatmul_fwd(decayed.reshape(-1, 1, t),
-                                  values.reshape(-1, t, dh)).reshape(lanes, -1)
-                      + image_term(q, k_img, v_img, heads))
+            decayed = dots.reshape(lanes, heads, t)
+            decayed *= 1.0 / math.sqrt(dh)
+            decayed *= decay
+            merged = bmatmul_fwd(decayed.reshape(-1, 1, t),
+                                 values.reshape(-1, t, dh)).reshape(lanes, -1)
+            merged += image_term(q, image)
         else:
-            n = k_img.shape[0]
+            k_t, v_img = image
 
-            def with_image(cached, text):
-                img = cached.reshape(n, heads, dh).transpose(1, 0, 2)
-                img = np.broadcast_to(img, (lanes, heads, n, dh))
-                return np.concatenate([img, text], axis=2).reshape(-1, n + t, dh)
+            def with_image(img, text):
+                img = np.broadcast_to(img, (lanes,) + img.shape)
+                return np.concatenate([img, text], axis=2).reshape(
+                    lanes * heads, -1, dh)
 
             merged = softmax_mix(q_rows,
-                                 with_image(k_img, keys).transpose(0, 2, 1),
+                                 with_image(k_t.transpose(0, 2, 1),
+                                            keys).transpose(0, 2, 1),
                                  with_image(v_img, values)).reshape(lanes, -1)
         mixed = matmul_fwd(merged, proj.wo.data)
         return self._post_step(x, mixed), keys, values, gate_logs
@@ -446,12 +468,15 @@ class Model:
         return tokens
 
     def embed_text_step(self, token_ids, position: int) -> np.ndarray:
-        """One (lanes, d) row per lane's token, all at the same position."""
+        """One (lanes, d) row per lane's token, all at the same position.
+        The ids are taken as given: a decode step's tokens are ids that the
+        search drew from the vocabulary itself."""
         if position >= len(self._positions):
             size = max(2 * len(self._positions), position + 1)
             self._positions = sinusoidal_positions(size, self.config.d_model)
-        emb = embedding_fwd(self.params["char_embed"].data, token_ids)
-        return emb + self._positions[position]
+        emb = self.params["char_embed"].data[token_ids]
+        emb += self._positions[position]
+        return emb
 
     # --- forward passes
 
@@ -499,8 +524,9 @@ class Model:
 
     def head_logits(self, x: np.ndarray) -> np.ndarray:
         """(lanes, vocab) logits for (lanes, d) rows."""
-        return (matmul_fwd(x, self.params["head_w"].data)
-                + self.params["head_b"].data)
+        logits = matmul_fwd(x, self.params["head_w"].data)
+        logits += self.params["head_b"].data
+        return logits
 
 
 def training_loss(logits: Tensor, targets, epsilon: float = 0.4) -> Tensor:

@@ -7,10 +7,10 @@ execution order. Matmuls register their scalar multiply/add counts with any
 active OpCounter, which is what the cost model and decode statistics read.
 
 The forward math of the primitives a decode step needs (the counted
-products, layer norm, GELU, row softmax and log-softmax, the embedding
-gather) lives in plain-array kernels, the `*_fwd` functions. The Tensor
-primitives compute their forward through them, and decode steps, which
-never record a tape, call them directly. Inside `no_tape` nothing records,
+products, layer norm, GELU, row softmax and log-softmax), and of the
+embedding gather, lives in plain-array kernels, the `*_fwd` functions. The
+Tensor primitives compute their forward through them, and decode steps,
+which never record a tape, call them directly. Inside `no_tape` nothing records,
 as when a decode builds its image cache: the CNN, whose stages are each one
 `conv` (im2col columns times the weights, plus the bias) on channels-last
 (h, w, c) maps, and each layer's image-only forward.

@@ -72,7 +72,7 @@ def check_armf_equivalence(seed: int = 0, trials: int = 100,
                            tolerance: float = 1e-10) -> CheckResult:
     """Fusion layer: parallel multi-head forward against cached-image
     recurrent steps, random head counts and partitions."""
-    from .fusion import marmf_recurrent_step
+    from .fusion import image_heads, marmf_recurrent_step
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 21]))
     worst = 0.0
@@ -91,14 +91,14 @@ def check_armf_equivalence(seed: int = 0, trials: int = 100,
         x = rng.standard_normal((n_image + n_text, d))
         par = marmf_forward(FusionSequence(Tensor(x), n_image, n_text),
                             layer_index, sched, proj, cfg).data
-        k_img = x[:n_image] @ proj.wk.data
-        v_img = x[:n_image] @ proj.wv.data
+        image = image_heads(x[:n_image] @ proj.wk.data,
+                            x[:n_image] @ proj.wv.data, heads)
         state = np.zeros((1, heads, d_head, d_head))  # one decode lane
-        gammas = sched.layer_values(layer_index)
+        decay = sched.layer_values(layer_index)[:, None, None]
         for t in range(n_text):
             row, state = marmf_recurrent_step(
-                state, (k_img, v_img), x[n_image + t:n_image + t + 1],
-                proj, cfg, gammas,
+                state, image, x[n_image + t:n_image + t + 1],
+                proj, cfg, decay,
             )
             worst = max(worst, float(np.max(np.abs(row[0] - par[n_image + t]))))
     return CheckResult(

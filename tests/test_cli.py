@@ -7,6 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from retline import cli
 from retline.cli import load_config, main, parse_range
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -42,6 +43,28 @@ class TestConfig:
         path.write_text("layers 2\n")
         with pytest.raises(ValueError, match="key=value"):
             load_config(str(path))
+
+    def test_parser_built_once_and_environment_read_per_call(
+            self, tmp_path, monkeypatch):
+        built, build = [], cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        monkeypatch.delenv("RETLINE_CONFIG", raising=False)
+        out = tmp_path / "o"
+        echo = out / "config_echo.txt"
+        assert main(["--out-dir", str(out), "report"]) == 0
+        assert "count=576" in echo.read_text().splitlines()
+        path = tmp_path / "run.cfg"
+        path.write_text("count=7\n")
+        monkeypatch.setenv("RETLINE_CONFIG", str(path))
+        assert main(["--out-dir", str(out), "report"]) == 0
+        assert "count=7" in echo.read_text().splitlines()
+        assert built == [1]
 
     def test_parse_range_forms(self):
         assert parse_range("1..4") == [1, 2, 3, 4]

@@ -11,7 +11,9 @@ from retline import decode
 from retline.checkpoint import load_checkpoint
 from retline.costmodel import memory_elements
 from retline.decode import (
+    BACKENDS,
     KVDecodeState,
+    RecurrentDecodeState,
     beam_search,
     kv_reindex,
     write_stats_csv,
@@ -19,9 +21,10 @@ from retline.decode import (
 from retline.data import (EOS_ID, PAD_ID, SOS_ID, Vocab, detokenize,
                           render_line)
 from retline.fusion import IMAGE_PRIORS
-from retline.model import Model, ModelConfig
+from retline.model import Model, ModelConfig, teacher_pair, training_loss
 from retline.retention import GAMMA_STRATEGIES
-from retline.tensor import Tape, Tensor, log_softmax_fwd
+from retline.tensor import Tape, Tensor, backward, log_softmax_fwd
+from retline.training import AdamW, OptimizerSettings
 
 
 def small_model(mixer="retention", seed=1, vocab_size=8):
@@ -352,6 +355,28 @@ class TestBatchedLanes:
         rec, kv = self.decode_both(monkeypatch, model, toy_image(7), beam=beam)
         assert len(rec.stats) == len(kv.stats) == 95
 
+    @pytest.mark.parametrize("strategy,prior", [
+        (s, p) for s in GAMMA_STRATEGIES for p in IMAGE_PRIORS
+        if s != "gated" or p == "none"
+    ])
+    @settings(max_examples=10)
+    @given(beam=st.integers(1, 10), width=st.integers(8, 64),
+           length=st.integers(1, 24), seed=st.integers(0, 2**16))
+    def test_backends_agree_on_drawn_decodes(self, strategy, prior, beam,
+                                             width, length, seed):
+        # EOS masked: every decode runs the drawn number of steps
+        cfg = ModelConfig(
+            vocab_size=8, max_text_len=12, layers=2, heads=2, d_model=16,
+            d_ff=32, cnn_channels=(4, 8, 8), gamma_strategy=strategy,
+            image_prior=prior, dropout_mix=0.0, dropout_embed=0.0,
+        )
+        model = self.no_eos(Model(cfg, seed=seed))
+        with pytest.MonkeyPatch.context() as patch:
+            rec, _ = self.decode_both(patch, model,
+                                      toy_image(seed, width=width), beam=beam,
+                                      max_len=length)
+        assert len(rec.stats) == length
+
 
 class TestStepwiseMatchesParallel:
     """The decode-time step path must reproduce the teacher-forced forward
@@ -365,7 +390,7 @@ class TestStepwiseMatchesParallel:
             _lane_logits_recurrent,
         )
 
-        cache = model.build_image_cache(image)
+        cache = decode.image_cache(model, image)
         if backend == "recurrent":
             state = RecurrentDecodeState.fresh(model.config)
             step = _lane_logits_recurrent
@@ -407,7 +432,7 @@ class TestStepRecordsNothing:
     @staticmethod
     def logits(model, cache, backend):
         if backend == "recurrent":
-            state = decode.RecurrentDecodeState.fresh(model.config)
+            state = decode.RecurrentDecodeState.fresh(model.config, 2)
             step = decode._lane_logits_recurrent
         else:
             state = KVDecodeState.fresh(model.config)
@@ -434,7 +459,7 @@ class TestStepRecordsNothing:
         )
         model = Model(cfg, seed=2)
         assert all(p.requires_grad for p in model.params.values())
-        cache = model.build_image_cache(toy_image(6))
+        cache = decode.image_cache(model, toy_image(6))
         plain = self.logits(model, cache, backend)
         with Tape() as tape:
             taped = self.logits(model, cache, backend)
@@ -542,14 +567,41 @@ class TestKvReindex:
         np.testing.assert_array_equal(out.keys[0][1], state.keys[0][0])
         np.testing.assert_array_equal(out.keys[0][2], state.keys[0][0])
 
-    def test_out_of_range_parent_rejected(self):
-        with pytest.raises(ValueError, match="parent index 3 "):
-            kv_reindex(self.lanes(), [3])
+    def three_lanes(self, state_cls):
+        if state_cls is KVDecodeState:
+            return self.lanes()
+        return RecurrentDecodeState.fresh(small_model().config, 3).reindex(
+            [0, 0, 0])
 
-    def test_negative_parent_rejected(self):
+    @pytest.mark.parametrize("state_cls", [RecurrentDecodeState,
+                                           KVDecodeState])
+    def test_out_of_range_parent_rejected(self, state_cls):
+        with pytest.raises(ValueError, match="parent index 3 "):
+            self.three_lanes(state_cls).reindex([3])
+
+    @pytest.mark.parametrize("state_cls", [RecurrentDecodeState,
+                                           KVDecodeState])
+    def test_negative_parent_rejected(self, state_cls):
         # a negative index would otherwise gather from the end
         with pytest.raises(ValueError, match="parent index -1 "):
-            kv_reindex(self.lanes(), [0, -1])
+            self.three_lanes(state_cls).reindex([0, -1])
+
+    def test_recurrent_gathers_into_alternate_buffers(self):
+        state = self.three_lanes(RecurrentDecodeState)
+        for layer, s in enumerate(state.states):
+            s[...] = np.arange(3.0)[:, None, None, None] + 10 * layer
+        out = state.reindex([2, 0, 0])
+        for old, new in zip(state.states, out.states):
+            np.testing.assert_array_equal(new, old[[2, 0, 0]])
+            # each lane owns the state a step advances in place
+            assert not np.shares_memory(new, old)
+            assert not np.shares_memory(new[1], new[2])
+        # the next gather writes back into the first buffers
+        again = out.reindex([1, 0])
+        for first, second, third in zip(state.states, out.states,
+                                        again.states):
+            np.testing.assert_array_equal(third, second[[1, 0]])
+            assert np.shares_memory(third, first)
 
     def test_beam_search_gathers_only_moved_lanes(self, monkeypatch):
         calls = []
@@ -566,6 +618,57 @@ class TestKvReindex:
         assert calls
         # three lanes from the first step on: no gather keeps them in place
         assert all(p != [0, 1, 2] for p in calls)
+
+
+class TestReusedBuffers:
+    """A search allocates its state and k⊗v buffers for its own lanes, and
+    a model caches no parameter array: interleaved searches on two images
+    and two models give bitwise what each gives alone, and a search after a
+    training step reads the updated weights."""
+
+    @staticmethod
+    def result(out):
+        return out.tokens, out.score.hex(), out.stats
+
+    def test_interleaved_searches_equal_searches_alone(self):
+        calls = [(seed, image, beam, backend) for beam in (1, 3, 10)
+                 for backend in BACKENDS for image in (0, 1)
+                 for seed in (7, 8)]
+        images = [toy_image(3), toy_image(4, width=36)]
+
+        def search(model, seed, image, beam, backend):
+            # a longer line than max_text_len on half of the calls
+            return self.result(beam_search(
+                model, images[image], beam=beam, backend=backend,
+                max_len=8 if image == 0 else 20))
+
+        models = {seed: TestBatchedLanes.no_eos(small_model(seed=seed))
+                  for seed in (7, 8)}
+        interleaved = [search(models[call[0]], *call) for call in calls]
+        for call, got in zip(calls, interleaved):
+            alone = TestBatchedLanes.no_eos(small_model(seed=call[0]))
+            assert search(alone, *call) == got, call
+
+    def test_search_reads_the_weights_a_training_step_wrote(self):
+        model = small_model(seed=5)
+        image = toy_image(2)
+        before = {backend: self.result(beam_search(model, image, beam=3,
+                                                   backend=backend))
+                  for backend in BACKENDS}
+        inputs, targets = teacher_pair([SOS_ID, 3, 4, 5, EOS_ID])
+        with Tape():
+            backward(training_loss(model.forward(image, inputs), targets))
+        AdamW(model.params, OptimizerSettings()).step(lr=0.05)
+        params = {name: p.data.copy() for name, p in model.params.items()}
+        stepped = Model(model.config, values=lambda name, shape: params[name])
+        for backend in BACKENDS:
+            for beam in (1, 3, 10):
+                got = self.result(beam_search(model, image, beam=beam,
+                                              backend=backend))
+                assert got == self.result(beam_search(
+                    stepped, image, beam=beam, backend=backend))
+                if beam == 3:
+                    assert got[1] != before[backend][1]
 
 
 TOY_WEIGHTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",

@@ -12,6 +12,7 @@ from retline.fusion import (
     FusionSequence,
     armf_parallel,
     build_armf_mask,
+    image_heads,
     marmf_forward,
     marmf_recurrent_step,
 )
@@ -29,8 +30,10 @@ def single_head_step(state, k_img, v_img, x, proj, gamma):
     returns the (1, d) output and the state."""
     d = x.shape[1]
     unprojected = ARMFProjections(proj.wq, proj.wk, proj.wv, Tensor(np.eye(d)))
-    return marmf_recurrent_step(state, (k_img, v_img), x, unprojected,
-                                ARMFHeadConfig(d_model=d, heads=1), [gamma])
+    return marmf_recurrent_step(state, image_heads(k_img, v_img, 1), x,
+                                unprojected,
+                                ARMFHeadConfig(d_model=d, heads=1),
+                                np.array([gamma])[:, None, None])
 
 
 def fresh_state(d):
@@ -329,14 +332,14 @@ class TestMultiHead:
             seq = FusionSequence(Tensor(x), n_image, n_text)
             par = marmf_forward(seq, 1, sched, proj, cfg).data
 
-            k_img = x[:n_image] @ proj.wk.data
-            v_img = x[:n_image] @ proj.wv.data
+            image = image_heads(x[:n_image] @ proj.wk.data,
+                                x[:n_image] @ proj.wv.data, heads)
             state = np.zeros((1, heads, cfg.d_head, cfg.d_head))  # one lane
-            gammas = sched.layer_values(1)
+            decay = sched.layer_values(1)[:, None, None]
             for t in range(n_text):
                 row, state = marmf_recurrent_step(
-                    state, (k_img, v_img),
-                    x[n_image + t:n_image + t + 1], proj, cfg, gammas,
+                    state, image,
+                    x[n_image + t:n_image + t + 1], proj, cfg, decay,
                 )
                 delta = np.max(np.abs(row[0] - par[n_image + t]))
                 assert delta <= 1e-10, (heads, t, delta)
@@ -353,15 +356,15 @@ class TestMultiHead:
         seq = FusionSequence(Tensor(x), n_image, n_text)
         par = marmf_forward(seq, 0, sched, proj, cfg, gate_weights=w_gamma).data
 
-        k_img = x[:n_image] @ proj.wk.data
-        v_img = x[:n_image] @ proj.wv.data
+        image = image_heads(x[:n_image] @ proj.wk.data,
+                            x[:n_image] @ proj.wv.data, heads)
         state = np.zeros((1, heads, cfg.d_head, cfg.d_head))  # one lane
         for t in range(n_text):
             x_n = x[n_image + t:n_image + t + 1]
             z = x_n @ w_gamma.data
             gammas = (1.0 / (1.0 + np.exp(-z))) ** (1.0 / 16.0)
             row, state = marmf_recurrent_step(
-                state, (k_img, v_img), x_n, proj, cfg, gammas[0],
+                state, image, x_n, proj, cfg, gammas[:, :, None, None],
             )
             assert np.max(np.abs(row[0] - par[n_image + t])) <= 1e-10
 
@@ -469,13 +472,14 @@ class TestParallelRecurrentProperty:
                             layer_index, sched, proj, cfg,
                             gate_weights=w_gamma).data
 
-        cache = (x[:n_image] @ proj.wk.data, x[:n_image] @ proj.wv.data)
+        image = image_heads(x[:n_image] @ proj.wk.data,
+                            x[:n_image] @ proj.wv.data, heads)
         state = np.zeros((1, heads, d_head, d_head))  # one decode lane
         for t in range(n_text):
             x_n = x[n_image + t:n_image + t + 1]
             gammas = (gate_gammas(Tensor(x_n) @ w_gamma, sched.tau).data[0]
                       if w_gamma is not None else sched.layer_values(layer_index))
-            row, state = marmf_recurrent_step(state, cache, x_n, proj, cfg,
-                                              gammas)
+            row, state = marmf_recurrent_step(state, image, x_n, proj, cfg,
+                                              gammas[:, None, None])
             delta = np.max(np.abs(row[0] - par[n_image + t]))
             assert delta <= 1e-10, (t, delta)

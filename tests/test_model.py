@@ -198,6 +198,27 @@ class TestTextEmbedding:
             model.embed_text([7])
 
 
+class TestStepDecay:
+    """Under a fixed schedule, a kv decode step reads the decay of its t
+    text keys as the last t columns of one table of powers, grown past
+    max_text_len on demand; it equals the per-step power
+    gamma^(t-1) .. gamma^0 bitwise."""
+
+    @pytest.mark.parametrize("strategy", [s for s in GAMMA_STRATEGIES
+                                          if s != "gated"])
+    @pytest.mark.parametrize("subtractor", [0.3, 0.6, 0.86])
+    def test_text_decay_equals_per_step_powers(self, strategy, subtractor):
+        model = Model(tiny_config(layers=3, heads=4, gamma_strategy=strategy,
+                                  gamma_subtractor=subtractor))
+        lengths = np.random.default_rng(0).permutation(np.arange(1, 97))
+        for layer in model.layers:
+            gammas = model.schedule.layer_values(layer.index)
+            for t in lengths.tolist():
+                expected = gammas[:, None] ** np.arange(t - 1, -1, -1,
+                                                        dtype=np.float64)
+                assert np.array_equal(layer._text_decay(t), expected), t
+
+
 class TestImageOnlyPass:
     """The image cache, built on plain arrays with no tape, holds bitwise the
     keys and values of the image rows that the parallel forward of an
