@@ -51,6 +51,9 @@ def load_checkpoint(path_prefix: str) -> Model:
             manifest = json.load(fh)
         with open(path_prefix + ".bin", "rb") as fh:
             raw = fh.read()
+        for key in ("config", "tensors"):
+            if not isinstance(manifest[key], dict):
+                raise ValueError(f"{key!r} is not a JSON object")
         if len(raw) != manifest["blob_bytes"]:
             raise ValueError(
                 f"blob is {len(raw)} bytes, manifest expects {manifest['blob_bytes']}"

@@ -27,7 +27,6 @@ from .data import (
     render_line,
     tokenize,
 )
-from .maps import dump_maps
 from .model import Model, ModelConfig, teacher_pair
 from .training import (
     OptimizerSettings,
@@ -37,7 +36,6 @@ from .training import (
     train,
     transcript_rates,
 )
-from .verification import format_report, run_all
 
 # defaults follow the published configuration wherever one is stated; desk
 # runs override them through the config file
@@ -145,6 +143,10 @@ def parse_range(spec: str) -> list:
 
 
 def _cmd_verify(args, config) -> int:
+    # imported by the one command that runs them, as dump_maps is, so no
+    # other command pays for their import
+    from .verification import format_report, run_all
+
     echo_config(args.out_dir, config, args.seed)
     results = run_all(seed=args.seed, quick=args.quick)
     report = format_report(results)
@@ -274,6 +276,8 @@ def _cmd_decode(args, config) -> int:
 
 
 def _cmd_dump_maps(args, config) -> int:
+    from .maps import dump_maps
+
     echo_config(args.out_dir, config, args.seed)
     vocab = Vocab(config["chars"])
     if args.checkpoint:

@@ -298,7 +298,8 @@ def load_manifest(path) -> Dataset:
     dataset.json sidecar when present, else from the transcripts; transcripts
     must stay inside it either way. Malformed lines, duplicate ids, missing
     files, and out-of-vocabulary characters are rejected with line numbers,
-    and a manifest without lines is rejected too.
+    and a manifest without lines is rejected too; a sidecar that is not a
+    JSON object holding a valid vocabulary string is rejected naming it.
     """
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -307,11 +308,16 @@ def load_manifest(path) -> Dataset:
     sidecar_path = os.path.join(base, "dataset.json")
     vocab = None
     if os.path.exists(sidecar_path):
-        with open(sidecar_path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-        if not isinstance(sidecar, dict) or "vocab" not in sidecar:
-            raise ValueError(f"{sidecar_path}: no 'vocab' entry")
-        vocab = Vocab(sidecar["vocab"])
+        try:
+            with open(sidecar_path, "r", encoding="utf-8") as fh:
+                sidecar = json.load(fh)
+            if not isinstance(sidecar, dict) or "vocab" not in sidecar:
+                raise ValueError("no 'vocab' entry")
+            if not isinstance(sidecar["vocab"], str):
+                raise ValueError("'vocab' is not a string")
+            vocab = Vocab(sidecar["vocab"])
+        except ValueError as exc:  # bad JSON and bad UTF-8 are ValueErrors too
+            raise ValueError(f"{sidecar_path}: {exc}") from None
 
     entries, seen = [], set()
     for lineno, line in enumerate(raw_lines, start=1):

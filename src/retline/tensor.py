@@ -15,6 +15,11 @@ as when a decode builds its image cache: the CNN, whose stages are each one
 `conv` (im2col columns times the weights, plus the bias) on channels-last
 (h, w, c) maps, and each layer's image-only forward.
 
+Beyond the standard library, numpy is the only import at load time. The
+exact GELU's erf is scipy's ufunc, taken at the first GELU from scipy's
+compiled `_special_ufuncs` module, loaded alone (`_load_erf`): retline
+never imports the `scipy.special` package itself.
+
 Each operation has one primitive: a product with any constant is
 `mul_const`, any transpose is `permute`, and `central_differences` is the one
 finite-difference loop.
@@ -141,13 +146,60 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+_ERF_MODULE = "scipy.special._special_ufuncs"
+
+
+def _load_erf():
+    """scipy's erf ufunc, loaded without importing `scipy.special`.
+
+    The compiled module that defines the ufunc is loaded alone, under its
+    real name and registered in `sys.modules`, so a later `import
+    scipy.special` reuses it and hands out the same object. The package's
+    own import pulls in far more (array-API shims, numpy.testing, f2py) for
+    over ten times the module's time and memory. If `scipy.special` is
+    already imported, its `erf` is taken; if the compiled file is absent,
+    fails to load or lacks `erf` (scipy releases differ), the package is
+    imported as usual."""
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
+
+    module = sys.modules.get("scipy.special") or sys.modules.get(_ERF_MODULE)
+    if module is None:
+        import scipy
+
+        paths = (os.path.join(root, "special", "_special_ufuncs" + suffix)
+                 for root in scipy.__path__
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is not None:
+            spec = importlib.util.spec_from_file_location(_ERF_MODULE, path)
+            try:
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[_ERF_MODULE] = module
+                spec.loader.exec_module(module)
+            except ImportError:
+                sys.modules.pop(_ERF_MODULE, None)
+                module = None
+    erf = getattr(module, "erf", None)
+    if erf is None:
+        from scipy.special import erf
+    return erf
+
+
+_ERF_LOCK = threading.Lock()
+
+
 def _erf(x, out):
-    """scipy.special.erf, imported at the first GELU: the import costs a
-    process more time than numpy's own and about as much memory, and many
-    commands never run a GELU. The first call rebinds `_erf` to the ufunc
-    itself, so later calls reach it with the same single global lookup."""
+    """scipy's erf, loaded at the first GELU by `_load_erf`: many commands
+    never run a GELU. The first call rebinds `_erf` to the ufunc itself, so
+    later calls reach it with the same single global lookup. The lock
+    stands in for the import system's own: threads that meet their first
+    GELU together load the module once."""
     global _erf
-    from scipy.special import erf as _erf
+    with _ERF_LOCK:
+        _erf = _load_erf()
     return _erf(x, out=out)
 
 

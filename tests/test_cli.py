@@ -6,6 +6,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retline import cli
 from retline.cli import load_config, main, parse_range
@@ -305,7 +307,8 @@ class TestDecodeScoring:
     @pytest.mark.parametrize("edit", [
         lambda m: m["config"].update(warp_speed=9),
         lambda m: m.pop("tensors"),
-    ], ids=["unknown_config_key", "no_tensors"])
+        lambda m: m.update(tensors=[]),
+    ], ids=["unknown_config_key", "no_tensors", "tensors_not_an_object"])
     def test_malformed_checkpoint_exits_1_naming_it(self, tmp_path, capsys,
                                                     edit):
         import json
@@ -320,6 +323,32 @@ class TestDecodeScoring:
                      "dump-maps", "--checkpoint", ckpt])
         assert code == 1
         assert ckpt in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sidecar", [
+        '{"vocab": 5}',
+        '{"vocab": null}',
+        '{"vocab": ["a", "b"]}',
+        '{"vocab": "aab"}',
+        '{"vocab": ""}',
+        '{vocab: "ab"}',
+        '["ab"]',
+        b'{"vocab": "a\xffb"}',
+    ], ids=["number", "null", "list", "duplicate", "empty", "invalid_json",
+            "not_an_object", "invalid_utf8"])
+    def test_malformed_sidecar_exits_1_naming_it(self, tmp_path, capsys,
+                                                 sidecar):
+        cfg, ckpt, data_dir = self.checkpoint_and_data(tmp_path)
+        path = data_dir / "dataset.json"
+        if isinstance(sidecar, bytes):
+            path.write_bytes(sidecar)
+        else:
+            path.write_text(sidecar)
+        code = main(["--out-dir", str(tmp_path / "dec"), "--config", str(cfg),
+                     "decode", "--checkpoint", ckpt,
+                     "--data", str(data_dir / "manifest.tsv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
     def test_malformed_pgm_exits_1_naming_it(self, tmp_path, capsys):
         cfg, ckpt, data_dir = self.checkpoint_and_data(tmp_path)
@@ -377,6 +406,60 @@ class TestDecodeScoring:
         assert "Traceback" not in err
 
 
+# the only values the manifest fuzz writes: each JSON type, small numbers and
+# no large integer (a huge max_text_len would build a huge position table)
+_DELETE = object()
+_REPLACEMENTS = (_DELETE, None, True, -1, 0, 3, 2.5, "x", [], {})
+
+
+class TestCheckpointManifestFuzz:
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        import json
+
+        tmp = tmp_path_factory.mktemp("fuzz")
+        cfg, ckpt, data_dir = TestDecodeScoring().checkpoint_and_data(tmp)
+        with open(ckpt + ".json") as fh:
+            manifest = json.load(fh)
+        paths = [("config",), ("tensors",), ("blob_bytes",)]
+        paths += [("config", key) for key in sorted(manifest["config"])]
+        for name in sorted(manifest["tensors"]):
+            paths += [("tensors", name), ("tensors", name, "shape"),
+                      ("tensors", name, "offset")]
+        return tmp, cfg, ckpt, data_dir / "manifest.tsv", manifest, paths
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_decode_exits_0_or_1_naming_the_checkpoint(self, checkpoint,
+                                                       data):
+        import contextlib
+        import copy
+        import io
+        import json
+
+        tmp, cfg, ckpt, manifest_tsv, manifest, paths = checkpoint
+        path = data.draw(st.sampled_from(paths), label="path")
+        value = data.draw(st.sampled_from(_REPLACEMENTS), label="value")
+        edited = copy.deepcopy(manifest)
+        owner = edited
+        for key in path[:-1]:
+            owner = owner[key]
+        if value is _DELETE:
+            del owner[path[-1]]
+        else:
+            owner[path[-1]] = value
+        with open(ckpt + ".json", "w") as fh:
+            json.dump(edited, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["--out-dir", str(tmp / "dec"), "--config", str(cfg),
+                         "decode", "--checkpoint", ckpt, "--data",
+                         str(manifest_tsv), "--beam", "2"])
+        err = err.getvalue()
+        assert code == 0 or (code == 1 and f"checkpoint {ckpt}: " in err), err
+
+
 class TestStartUp:
     # commands that run no GELU never load scipy; the first GELU loads it
     # and computes x * (0.5 * (1 + erf(x / sqrt 2))) as before, bitwise
@@ -422,3 +505,57 @@ class TestStartUp:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[0, 0, 2] False", "True True True"]
+
+    # a decode loads only scipy's compiled erf module, never scipy.special;
+    # when the package is already imported, or the module is absent or fails
+    # to load, scipy.special supplies the same ufunc
+    LOADER = textwrap.dedent("""
+        import importlib.machinery, os, sys
+        import numpy as np
+        from retline import decode, tensor
+        from retline.model import Model, ModelConfig
+        from retline.tensor import Tensor
+
+        mode, tmp = sys.argv[1], sys.argv[2]
+        if mode == "imported":  # the package is already there: take its erf
+            import scipy.special
+        elif mode == "absent":  # no compiled erf module under any suffix
+            importlib.machinery.EXTENSION_SUFFIXES = []
+        elif mode == "broken":  # the first file found is no shared library
+            import scipy
+            os.mkdir(os.path.join(tmp, "special"))
+            name = "_special_ufuncs" + importlib.machinery.EXTENSION_SUFFIXES[0]
+            with open(os.path.join(tmp, "special", name), "wb") as fh:
+                fh.write(b"not a shared library")
+            scipy.__path__.insert(0, tmp)
+        model = Model(ModelConfig(vocab_size=5, max_text_len=6, layers=1,
+                                  heads=2, d_model=8, d_ff=16,
+                                  cnn_channels=(2, 2, 2), dropout_mix=0.0,
+                                  dropout_embed=0.0), seed=0)
+        decode.beam_search(model, Tensor(np.zeros((1, 32, 16))), beam=1)
+        print("scipy.special" in sys.modules,
+              "scipy.special._special_ufuncs" in sys.modules)
+
+        import scipy.special
+        x = np.linspace(-7.0, 7.0, 2001)
+        y, _ = tensor.gelu_fwd(x)
+        phi = x * (1.0 / np.sqrt(2.0))
+        reference = x * (0.5 * (1.0 + scipy.special.erf(phi)))
+        print(tensor._erf is scipy.special.erf,
+              y.tobytes() == reference.tobytes())
+    """)
+
+    @pytest.mark.parametrize("mode, loaded", [
+        ("found", "False True"),
+        ("imported", "True True"),
+        ("absent", "True True"),
+        ("broken", "True True"),
+    ], ids=["found", "imported", "absent", "broken"])
+    def test_decode_loads_only_the_compiled_erf_module(self, tmp_path, mode,
+                                                       loaded):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.LOADER, mode, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [loaded, "True True"]
