@@ -44,8 +44,9 @@ def save_checkpoint(model: Model, path_prefix: str) -> None:
 
 def load_checkpoint(path_prefix: str) -> Model:
     """The model, its parameters read straight from the blob (no random
-    initialization is drawn). A malformed manifest or blob raises ValueError
-    naming the checkpoint."""
+    initialization is drawn). A malformed manifest or blob, tensor byte
+    ranges that do not tile the blob among them, raises ValueError naming
+    the checkpoint."""
     try:
         with open(path_prefix + ".json", "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -61,6 +62,7 @@ def load_checkpoint(path_prefix: str) -> Model:
         cfg_dict = dict(manifest["config"])
         cfg_dict["cnn_channels"] = tuple(cfg_dict["cnn_channels"])
         config = ModelConfig(**cfg_dict)
+        spans = []  # (start, end, name) of every tensor read
 
         def values(name: str, shape: tuple) -> np.ndarray:
             entry = manifest["tensors"].get(name)
@@ -74,13 +76,25 @@ def load_checkpoint(path_prefix: str) -> Model:
                 )
             count = int(np.prod(shape)) if shape else 1
             start = entry["offset"]
+            if type(start) is not int:
+                raise ValueError(f"tensor {name!r} has offset {start!r}, "
+                                 "not an integer")
             end = start + 4 * count
             if end > len(raw):
                 raise ValueError(f"blob truncated while reading tensor {name!r}")
+            spans.append((start, end, name))
             flat = np.frombuffer(raw, dtype=_DTYPE, count=count, offset=start)
             return flat.astype(np.float64).reshape(shape)
 
         model = Model(config, values=values)
+        end = 0  # sorted by start, the ranges must tile the blob
+        for start, stop, name in sorted(spans):
+            if start != end:
+                raise ValueError(f"tensor {name!r} starts at byte {start}, not "
+                                 f"{end}: the tensors must tile the blob")
+            end = stop
+        if end != len(raw):
+            raise ValueError(f"tensors end at byte {end}, the blob at {len(raw)}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path_prefix}: {type(exc).__name__}: {exc}") from exc
     return model

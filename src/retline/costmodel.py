@@ -6,9 +6,9 @@ Closed forms:
     kv_cached    2*d*n + 2*(n-1)                 (one step against n cached keys)
     recurrent    2*d^2 + d - 1                   (one step against a d x d state)
 
-The instrumented twin executes the actual computation, with its two
-matrix-product stages (query-key scores and score-value mixing; key-value
-outer product and state readout for the recurrent form) through
+The instrumented twin runs the model's own kernels one head wide
+(`fusion.softmax_mix` for the cached step, `fusion.retention_step` for the
+recurrent one) and the vanilla form's two products through
 `tensor.matmul_fwd`, and takes its multiply count from the tensor module's
 `count_ops` counter. Softmax exponentials and divisions are never counted.
 Addition counts are not the counter's: they follow the per-stage accounting
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fusion import retention_step, softmax_mix
 from .tensor import OpCounter, count_ops, matmul_fwd, softmax_fwd
 
 FORMS = ("vanilla", "kv_cached", "recurrent")
@@ -77,10 +78,10 @@ def flops_closed_form(form: str, n: int, d: int) -> CostReport:
 def flops_instrumented(form: str, n: int, d: int) -> CostReport:
     """Run the single-head computation for real and report measured counts.
 
-    Every product goes through `tensor.matmul_fwd` inside one `count_ops`
-    counter, whose multiplies are the reported `mults`; the products also
-    register with any enclosing counter. `adds` are summed per stage under
-    the closed forms' conventions, not the counter's m*p*(k-1) per product.
+    The form runs inside one `count_ops` counter, whose multiplies are the
+    reported `mults`; its products also register with any enclosing counter.
+    `adds` are summed per stage under the closed forms' conventions, not the
+    counter's m*p*(k-1) per product.
     """
     _check_form(form)
     _check_dims(n, d)
@@ -97,20 +98,14 @@ def flops_instrumented(form: str, n: int, d: int) -> CostReport:
             adds = (n * n - 1) + n * (d - 1)  # per stage: scores, mixing
         elif form == "kv_cached":
             # one decoding step: the new query against n cached keys/values
-            q = rng.standard_normal((1, d))
-            keys = rng.standard_normal((n, d))
-            values = rng.standard_normal((n, d))
-            scores = matmul_fwd(q, keys.T)
-            matmul_fwd(softmax_fwd(scores / np.sqrt(d)), values)
+            softmax_mix(rng.standard_normal((1, 1, d)),
+                        rng.standard_normal((1, d, n)),
+                        rng.standard_normal((1, n, d)))
             adds = (n - 1) + (n - 1)  # per stage: scores, mixing
         else:
             # one recurrent step: absorb k^T v into the state, then read it out
-            q = rng.standard_normal((1, d))
-            k = rng.standard_normal((1, d))
-            v = rng.standard_normal((1, d))
-            state = rng.standard_normal((d, d))
-            state = 0.9 * state + matmul_fwd(k.T, v)
-            matmul_fwd(q, state)
+            q, k, v = (rng.standard_normal((1, d)) for _ in range(3))
+            retention_step(rng.standard_normal((1, 1, d, d)), q, k, v, 0.9)
             adds = d - 1  # the outer product adds nothing; the readout d - 1
     return CostReport(form=form, n=n, d=d, mults=counter.mults, adds=adds)
 

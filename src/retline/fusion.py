@@ -9,6 +9,11 @@ whole layer collapses to a constant-cost recurrence at decode time: a
 fixed-size retention state per head plus one softmax over the precomputed
 image keys/values.
 
+Retention's two forms are two kernels: `retention_weights` (parallel: the
+scaled scores times the decay) and `retention_step` (recurrent: decay the
+state, add k^T v, read it out). The verification suite and the cost model
+run them, and `softmax_mix`, as the model does.
+
 Every parallel pass runs one batched core over (H, n, d_head) head stacks:
 `mixing_weights` gives all heads' (H, N, N) weights for the multi-head
 forward and for `armf_parallel` (H = 1); the attention twin shares its
@@ -154,6 +159,13 @@ def scaled_scores(q: Tensor, k: Tensor) -> Tensor:
     return mul_const(bmatmul(q, permute(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[2]))
 
 
+def retention_weights(dots: Tensor, decay) -> Tensor:
+    """Retention's parallel form: the (H, M, N) scaled scores times the
+    decay, an array for fixed gammas or a tensor for gates. Times V, row i
+    is the readout of `retention_step`'s state after token i."""
+    return mul(dots, decay) if isinstance(decay, Tensor) else mul_const(dots, decay)
+
+
 def query_rows(x: Tensor, first_row: int) -> Tensor:
     """Rows first_row..N of the (N, d) rows `x`: `x` itself from row 0, else
     a recorded slice."""
@@ -198,8 +210,7 @@ def mixing_weights(q: Tensor, k: Tensor, n_image: int, decay,
             [img_rows, slice_rows(img, image_rows, m)])
     if n == n_image:
         return img
-    text = slice_cols(dots, n_image, n)
-    text = mul(text, decay) if isinstance(decay, Tensor) else mul_const(text, decay)
+    text = retention_weights(slice_cols(dots, n_image, n), decay)
     return concat_cols([img, text])
 
 
@@ -317,14 +328,15 @@ def image_term(q: np.ndarray, image: tuple) -> np.ndarray:
     return out.transpose(1, 0, 2).reshape(lanes, d)
 
 
-def _fused_step(s, image, q, k, v, decay, outer):
-    """Recurrent fusion for every lane and head at once. `s` holds the
-    (lanes, H, d_head, d_head) states, which this step advances in place
-    (s *= decay; s += k^T v), q/k/v the (lanes, d) projected rows. k^T v is
-    one elementwise product (an einsum with no summed index) into `outer`,
-    a new array if None, and is registered as the lanes * H one-term
-    (d_head, 1) x (1, d_head) products it is.
-    Returns the (lanes, d) head outputs."""
+def retention_step(s, q, k, v, decay, outer=None):
+    """Retention's recurrent form, one token for every lane and head at once.
+    `s` holds the (lanes, H, d_head, d_head) states, which this step advances
+    in place (s *= decay; s += k^T v), q/k/v the (lanes, d) projected rows;
+    `decay` is one gamma, (H, 1, 1) per head or (lanes, H, 1, 1) per lane.
+    k^T v is one elementwise product (an einsum with no summed index) into
+    `outer`, a new array if None, and is registered as the lanes * H
+    one-term (d_head, 1) x (1, d_head) products it is.
+    Returns the (lanes, d) readouts of the scaled queries."""
     lanes, heads, dh, _ = s.shape
     register_matmul_cost(lanes * heads * dh, 1, dh)
     outer = np.einsum("lhi,lhj->lhij", k.reshape(lanes, heads, dh),
@@ -333,9 +345,7 @@ def _fused_step(s, image, q, k, v, decay, outer):
     s += outer
     o_text = bmatmul_fwd((q * (1.0 / math.sqrt(dh))).reshape(-1, 1, dh),
                          s.reshape(-1, dh, dh))
-    out = o_text.reshape(lanes, -1)
-    out += image_term(q, image)
-    return out
+    return o_text.reshape(lanes, -1)
 
 
 def marmf_recurrent_step(
@@ -358,7 +368,7 @@ def marmf_recurrent_step(
     Returns the (lanes, d) output and the advanced states."""
     if state.shape[1:] != (cfg.heads, cfg.d_head, cfg.d_head):
         raise ValueError(f"state shape {state.shape} does not match the heads")
-    merged = _fused_step(state, image,
-                         *(matmul_fwd(x, w.data)
-                           for w in (proj.wq, proj.wk, proj.wv)), decay, outer)
+    q, k, v = (matmul_fwd(x, w.data) for w in (proj.wq, proj.wk, proj.wv))
+    merged = retention_step(state, q, k, v, decay, outer)
+    merged += image_term(q, image)
     return matmul_fwd(merged, proj.wo.data), state

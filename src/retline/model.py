@@ -115,6 +115,11 @@ class ModelConfig:
             raise ValueError("every image embedder stage needs a channel")
         if self.max_text_len < 3:
             raise ValueError("max_text_len must fit SOS, one token, and EOS")
+        for name in ("dropout_mix", "dropout_embed"):
+            rate = getattr(self, name)
+            if type(rate) not in (int, float) or not 0.0 <= rate < 1.0:
+                raise ValueError(f"{name} must be a real number in [0, 1), "
+                                 f"got {rate!r}")
 
     @property
     def d_head(self) -> int:

@@ -1,4 +1,4 @@
-"""Retention operators: decay priors, gamma schedules, parallel and recurrent forms.
+"""Retention's ingredients: decay priors, gamma schedules, gates and phases.
 
 The decay matrix (RetNet's D) weights pairwise query/key scores by powers of
 a factor gamma in (0,1), replacing softmax for causal token mixing. The
@@ -6,9 +6,10 @@ builders return it as a plain array with entries in [0, 1]: lower-triangular
 for the causal and gated kinds, symmetric for the bidirectional kind, and an
 (H, n, n) stack when built from one gamma per head. The same operator admits
 an exactly equivalent recurrent form driven by a fixed-size state, which is
-what makes constant-memory decoding possible. Schedules assign a
-gamma per (layer, head); the layer-wise schedule grows gamma with depth so
-shallow layers stay local and deep layers integrate long-range context.
+what makes constant-memory decoding possible; both forms are fusion kernels
+(`retention_weights`, `retention_step`). Schedules assign a gamma per
+(layer, head); the layer-wise schedule grows gamma with depth so shallow
+layers stay local and deep layers integrate long-range context.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor import Tensor, matmul, mul_const, permute, pow_const, rotate_pairs, sigmoid
+from .tensor import Tensor, pow_const, rotate_pairs, sigmoid
 
 GAMMA_STRATEGIES = ("original", "gated", "small_gamma", "headwise", "layerwise")
 
@@ -197,107 +198,3 @@ def apply_phases(x: Tensor, positions, phases: PhaseConfig) -> Tensor:
         return x
     return rotate_pairs(x, phases.angles(positions, x.shape[1]))
 
-
-# ---------------------------------------------------------------------------
-# retention forms
-
-
-@dataclass
-class RetentionState:
-    """Fixed-size recurrent accumulator: after absorbing tokens 1..n it equals
-    sum_m gamma^(n-m) k_m^T v_m. One lives per (layer, head) per decode lane."""
-
-    s: np.ndarray
-    step: int = 0
-
-    @classmethod
-    def fresh(cls, d: int) -> "RetentionState":
-        return cls(s=np.zeros((d, d)), step=0)
-
-    @property
-    def elements(self) -> int:
-        return self.s.size
-
-
-def retention_parallel(
-    x: Tensor,
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
-    decay: np.ndarray,
-    phases: PhaseConfig | None = None,
-) -> Tensor:
-    """Parallel form: (Q K^T elementwise decay) V over the whole sequence,
-    for an (n, n) decay matrix.
-
-    Phases default to enabled, rotating Q and K by position before scoring.
-    """
-    n = x.shape[0]
-    if decay.shape != (n, n):
-        raise ValueError(f"decay of shape {decay.shape} for a sequence of {n}")
-    if phases is None:
-        phases = PhaseConfig(enabled=True)
-    q = matmul(x, wq)
-    k = matmul(x, wk)
-    v = matmul(x, wv)
-    positions = np.arange(1, n + 1)
-    q = apply_phases(q, positions, phases)
-    k = apply_phases(k, positions, phases)
-    scores = mul_const(matmul(q, permute(k, (1, 0))), decay)
-    return matmul(scores, v)
-
-
-def retention_recurrent_step(
-    state: RetentionState,
-    q_n: Tensor,
-    k_n: Tensor,
-    v_n: Tensor,
-    gamma: float,
-) -> tuple[Tensor, RetentionState]:
-    """One recurrent update: S' = gamma S + k^T v, output q S'.
-
-    Rows must already carry any phase rotation for their position. The state
-    is treated as a value; a new RetentionState is returned.
-    """
-    if q_n.shape[0] != 1 or k_n.shape != q_n.shape or v_n.shape != q_n.shape:
-        raise ValueError("recurrent step expects matching (1, d) rows")
-    d = q_n.shape[1]
-    if state.s.shape != (d, d):
-        raise ValueError(f"state shape {state.s.shape} does not match d={d}")
-    kv = matmul(permute(k_n, (1, 0)), v_n)
-    s_new = gamma * state.s + kv.data
-    out = matmul(q_n, Tensor._wrap(s_new, False))
-    return out, RetentionState(s=s_new, step=state.step + 1)
-
-
-def retention_recurrent(
-    x: Tensor,
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
-    gamma: float,
-    phases: PhaseConfig | None = None,
-) -> Tensor:
-    """Run the recurrent form over a whole sequence (reference path for
-    equivalence checks against retention_parallel)."""
-    if phases is None:
-        phases = PhaseConfig(enabled=True)
-    n, d = x.shape
-    q = matmul(x, wq)
-    k = matmul(x, wk)
-    v = matmul(x, wv)
-    positions = np.arange(1, n + 1)
-    q = apply_phases(q, positions, phases)
-    k = apply_phases(k, positions, phases)
-    state = RetentionState.fresh(d)
-    rows = []
-    for i in range(n):
-        row, state = retention_recurrent_step(
-            state,
-            Tensor._wrap(q.data[i:i + 1], False),
-            Tensor._wrap(k.data[i:i + 1], False),
-            Tensor._wrap(v.data[i:i + 1], False),
-            gamma,
-        )
-        rows.append(row.data[0])
-    return Tensor._wrap(np.array(rows), False)

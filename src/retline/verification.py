@@ -2,12 +2,12 @@
 oracle, with one pass/fail record per check.
 
 These functions back both the `verify` subcommand and the acceptance tests:
-parallel/recurrent equivalence of the retention operator and of the fusion
-layer, gamma-schedule values against literal re-evaluations of their closed
-forms, instrumented against closed-form operation counts, live decode memory
-against the element formulas, end-to-end gradients against central finite
-differences, and the structural guarantees (modality firewall, text
-causality, softmax normalization).
+parallel/recurrent equivalence of the retention kernels the model runs and
+of the fusion layer, gamma-schedule values against literal re-evaluations of
+their closed forms, instrumented against closed-form operation counts, live
+decode memory against the element formulas, end-to-end gradients against
+central finite differences, and the structural guarantees (modality
+firewall, text causality, softmax normalization).
 """
 
 from __future__ import annotations
@@ -23,17 +23,13 @@ from .costmodel import (
     memory_elements,
 )
 from .decode import beam_search
-from .fusion import ARMFHeadConfig, ARMFProjections, FusionSequence, armf_parallel, marmf_forward
+from .fusion import (ARMFHeadConfig, ARMFProjections, FusionSequence, armf_parallel,
+                     image_heads, marmf_forward, marmf_recurrent_step,
+                     retention_step, retention_weights, scaled_scores, split_heads)
 from .model import Model, ModelConfig, training_loss
-from .retention import (
-    GammaSchedule,
-    PhaseConfig,
-    build_decay,
-    gamma_schedule,
-    retention_parallel,
-    retention_recurrent,
-)
-from .tensor import Tape, Tensor, backward, central_differences, slice_rows, sum_all
+from .retention import GammaSchedule, PhaseConfig, apply_phases, build_decay, gamma_schedule
+from .tensor import (Tape, Tensor, backward, bmatmul, central_differences, matmul,
+                     slice_rows, sum_all)
 
 EQUIV_GAMMAS = (0.1, 0.5, 0.96875)
 
@@ -47,8 +43,10 @@ class CheckResult:
 
 def check_parallel_recurrent(seed: int = 0, trials: int = 200,
                              tolerance: float = 1e-10) -> CheckResult:
-    """Retention operator: whole-sequence parallel form against the stepwise
-    recurrent form over random configurations."""
+    """Retention operator: the model's parallel kernel (`retention_weights`)
+    over the whole sequence against n steps of its recurrent kernel
+    (`retention_step`), one head at full width, over random configurations;
+    odd trials rotate q and k by position first."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 20]))
     worst = 0.0
     for trial in range(trials):
@@ -58,9 +56,17 @@ def check_parallel_recurrent(seed: int = 0, trials: int = 200,
         x = Tensor(rng.standard_normal((n, d)))
         wq, wk, wv = (Tensor(rng.standard_normal((d, d))) for _ in range(3))
         phases = PhaseConfig(enabled=bool(trial % 2))
-        par = retention_parallel(x, wq, wk, wv, build_decay(n, gamma), phases).data
-        rec = retention_recurrent(x, wq, wk, wv, gamma, phases).data
-        worst = max(worst, float(np.max(np.abs(par - rec))))
+        positions = np.arange(1, n + 1)
+        q, k = (split_heads(apply_phases(matmul(x, w), positions, phases), 1)
+                for w in (wq, wk))
+        v = split_heads(matmul(x, wv), 1)
+        weights = retention_weights(scaled_scores(q, k), build_decay(n, gamma))
+        par = bmatmul(weights, v).data[0]
+        state = np.zeros((1, 1, d, d))
+        q, k, v = q.data[0], k.data[0], v.data[0]
+        for i in range(n):
+            row = retention_step(state, q[i:i + 1], k[i:i + 1], v[i:i + 1], gamma)
+            worst = max(worst, float(np.max(np.abs(row[0] - par[i]))))
     return CheckResult(
         name="retention parallel vs recurrent",
         passed=worst <= tolerance,
@@ -72,8 +78,6 @@ def check_armf_equivalence(seed: int = 0, trials: int = 100,
                            tolerance: float = 1e-10) -> CheckResult:
     """Fusion layer: parallel multi-head forward against cached-image
     recurrent steps, random head counts and partitions."""
-    from .fusion import image_heads, marmf_recurrent_step
-
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 21]))
     worst = 0.0
     for trial in range(trials):

@@ -460,6 +460,69 @@ class TestCheckpointManifestFuzz:
         assert code == 0 or (code == 1 and f"checkpoint {ckpt}: " in err), err
 
 
+def _by_offset(manifest):
+    return sorted(manifest["tensors"].values(), key=lambda e: e["offset"])
+
+
+def _gap_before_last(manifest, blob):
+    # four stray bytes ahead of the last tensor, every offset kept consistent
+    last = _by_offset(manifest)[-1]
+    cut = last["offset"]
+    last["offset"] += 4
+    manifest["blob_bytes"] += 4
+    return blob[:cut] + bytes(4) + blob[cut:]
+
+
+class TestCheckpointTiling:
+    # each manifest below loaded and decoded with exit 0 before the tensors'
+    # byte ranges had to tile the blob
+    @pytest.mark.parametrize("edit", [
+        lambda m, b: _by_offset(m)[-1].update(offset=3) or b,
+        lambda m, b: _by_offset(m)[-1].update(offset=True) or b,
+        lambda m, b: _by_offset(m)[1].update(offset=0) or b,
+        _gap_before_last,
+    ], ids=["offset_3", "offset_true", "overlap", "gap"])
+    def test_decode_exits_1_naming_the_checkpoint(self, tmp_path, capsys,
+                                                  edit):
+        import json
+
+        cfg, ckpt, data_dir = TestDecodeScoring().checkpoint_and_data(tmp_path)
+        with open(ckpt + ".json") as fh:
+            manifest = json.load(fh)
+        with open(ckpt + ".bin", "rb") as fh:
+            blob = edit(manifest, fh.read())
+        with open(ckpt + ".json", "w") as fh:
+            json.dump(manifest, fh)
+        with open(ckpt + ".bin", "wb") as fh:
+            fh.write(blob)
+        code = main(["--out-dir", str(tmp_path / "dec"), "--config", str(cfg),
+                     "decode", "--checkpoint", ckpt, "--data",
+                     str(data_dir / "manifest.tsv"), "--beam", "2"])
+        assert code == 1
+        assert f"checkpoint {ckpt}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, rate", [
+        ("dropout_mix", "x"), ("dropout_mix", 7), ("dropout_embed", 1.0),
+        ("dropout_embed", True), ("dropout_embed", -0.5),
+    ])
+    def test_bad_dropout_rate_exits_1_naming_the_checkpoint(
+            self, tmp_path, capsys, field, rate):
+        import json
+
+        cfg, ckpt, data_dir = TestDecodeScoring().checkpoint_and_data(tmp_path)
+        with open(ckpt + ".json") as fh:
+            manifest = json.load(fh)
+        manifest["config"][field] = rate
+        with open(ckpt + ".json", "w") as fh:
+            json.dump(manifest, fh)
+        code = main(["--out-dir", str(tmp_path / "dec"), "--config", str(cfg),
+                     "decode", "--checkpoint", ckpt, "--data",
+                     str(data_dir / "manifest.tsv"), "--beam", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"checkpoint {ckpt}: " in err and field in err
+
+
 class TestStartUp:
     # commands that run no GELU never load scipy; the first GELU loads it
     # and computes x * (0.5 * (1 + erf(x / sqrt 2))) as before, bitwise

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from retline.fusion import (
+    merge_heads,
+    retention_step,
+    retention_weights,
+    scaled_scores,
+    split_heads,
+)
 from retline.retention import (
     GammaSchedule,
     PhaseConfig,
-    RetentionState,
     apply_phases,
     build_decay,
     build_decay_bidirectional,
@@ -12,15 +20,13 @@ from retline.retention import (
     default_theta,
     gamma_schedule,
     gate_gammas,
-    retention_parallel,
-    retention_recurrent,
-    retention_recurrent_step,
 )
-from retline.tensor import Tensor
+from retline.tensor import Tensor, bmatmul, matmul
 
 
 def brute_force_retention(x, wq, wk, wv, decay, phases=None):
-    """Independent oracle: explicit double loop over query/key positions."""
+    """Independent oracle: explicit double loop over query/key positions,
+    scores scaled by 1/sqrt(d) as the kernels scale them."""
     n, d = x.shape
     q, k, v = x @ wq, x @ wk, x @ wv
     if phases is not None and phases.enabled:
@@ -30,8 +36,31 @@ def brute_force_retention(x, wq, wk, wv, decay, phases=None):
     out = np.zeros((n, d))
     for i in range(n):
         for j in range(n):
-            out[i] += decay[i, j] * (q[i] @ k[j]) * v[j]
+            out[i] += decay[i, j] * (q[i] @ k[j]) / np.sqrt(d) * v[j]
     return out
+
+
+def one_head(x, wq, wk, wv, phases):
+    """(1, n, d) single-head q, k, v; q and k rotated by positions 1..n."""
+    positions = np.arange(1, x.shape[0] + 1)
+    q, k = (apply_phases(matmul(x, w), positions, phases) for w in (wq, wk))
+    return tuple(split_heads(t, 1) for t in (q, k, matmul(x, wv)))
+
+
+def parallel(x, wq, wk, wv, decay, phases=PhaseConfig()):
+    """The model's parallel kernel, one head at full width: (n, d) rows."""
+    q, k, v = one_head(x, wq, wk, wv, phases)
+    return merge_heads(bmatmul(retention_weights(scaled_scores(q, k), decay), v))
+
+
+def recurrent(x, wq, wk, wv, gamma, phases=PhaseConfig()):
+    """n steps of the model's recurrent kernel from a zero state: (n, d)."""
+    q, k, v = (t.data[0] for t in one_head(x, wq, wk, wv, phases))
+    n, d = q.shape
+    state = np.zeros((1, 1, d, d))
+    return np.concatenate([
+        retention_step(state, q[i:i + 1], k[i:i + 1], v[i:i + 1], gamma)
+        for i in range(n)])
 
 
 def rotate_ref(x, ang):
@@ -218,20 +247,21 @@ class TestParallelForm:
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((1, 4)))
         wq, wk, wv = (Tensor(rng.standard_normal((4, 4))) for _ in range(3))
-        out = retention_parallel(x, wq, wk, wv, build_decay(1, 0.5))
+        out = parallel(x, wq, wk, wv, build_decay(1, 0.5))
         q = rotate_ref(x.data @ wq.data, PhaseConfig().angles([1], 4))
         k = rotate_ref(x.data @ wk.data, PhaseConfig().angles([1], 4))
         v = x.data @ wv.data
-        np.testing.assert_allclose(out.data, (q @ k.T) * v, atol=1e-12)
+        np.testing.assert_allclose(out.data, (q @ k.T) / np.sqrt(4) * v,
+                                   atol=1e-12)
 
     def test_identity_decay_is_memoryless(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.standard_normal((5, 6)))
         wq, wk, wv = (Tensor(rng.standard_normal((6, 6))) for _ in range(3))
         decay = np.eye(5)
-        out = retention_parallel(x, wq, wk, wv, decay, PhaseConfig(enabled=False))
+        out = parallel(x, wq, wk, wv, decay, PhaseConfig(enabled=False))
         q, k, v = x.data @ wq.data, x.data @ wk.data, x.data @ wv.data
-        expected = (np.einsum("nd,nd->n", q, k))[:, None] * v
+        expected = (np.einsum("nd,nd->n", q, k) / np.sqrt(6))[:, None] * v
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_matches_brute_force(self):
@@ -240,7 +270,7 @@ class TestParallelForm:
         wq, wk, wv = (Tensor(rng.standard_normal((4, 4))) for _ in range(3))
         decay = build_decay(8, 0.7)
         phases = PhaseConfig()
-        out = retention_parallel(x, wq, wk, wv, decay, phases)
+        out = parallel(x, wq, wk, wv, decay, phases)
         expected = brute_force_retention(
             x.data, wq.data, wk.data, wv.data, decay, phases
         )
@@ -251,74 +281,90 @@ class TestParallelForm:
         base = rng.standard_normal((6, 4))
         wq, wk, wv = (Tensor(rng.standard_normal((4, 4))) for _ in range(3))
         decay = build_decay(6, 0.5)
-        out1 = retention_parallel(Tensor(base), wq, wk, wv, decay).data
+        out1 = parallel(Tensor(base), wq, wk, wv, decay).data
         poked = base.copy()
         poked[4] += 3.0  # token after row 3
-        out2 = retention_parallel(Tensor(poked), wq, wk, wv, decay).data
+        out2 = parallel(Tensor(poked), wq, wk, wv, decay).data
         np.testing.assert_array_equal(out1[:4], out2[:4])
-
-    def test_length_mismatch_rejected(self):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.standard_normal((3, 4)))
-        w = Tensor(np.eye(4))
-        with pytest.raises(ValueError):
-            retention_parallel(x, w, w, w, build_decay(4, 0.5))
 
 
 class TestRecurrentForm:
     def test_first_step_matches_parallel_single_token(self):
         rng = np.random.default_rng(12)
-        q = Tensor(rng.standard_normal((1, 5)))
-        k = Tensor(rng.standard_normal((1, 5)))
-        v = Tensor(rng.standard_normal((1, 5)))
-        out, state = retention_recurrent_step(RetentionState.fresh(5), q, k, v, 0.5)
-        expected = (q.data @ k.data.T) * v.data
-        np.testing.assert_allclose(out.data, expected, atol=1e-14)
-        assert state.step == 1
+        q = rng.standard_normal((1, 5))
+        k = rng.standard_normal((1, 5))
+        v = rng.standard_normal((1, 5))
+        state = np.zeros((1, 1, 5, 5))
+        out = retention_step(state, q, k, v, 0.5)
+        expected = (q @ k.T) / np.sqrt(5) * v
+        np.testing.assert_allclose(out, expected, atol=1e-14)
+        # the state was advanced in place to k^T v, each entry one product
+        np.testing.assert_array_equal(state[0, 0], np.outer(k, v))
 
     def test_zero_gamma_overwrites_state(self):
         rng = np.random.default_rng(13)
-        state = RetentionState.fresh(4)
+        state = np.zeros((1, 1, 4, 4))
         for _ in range(4):
-            q = Tensor(rng.standard_normal((1, 4)))
-            k = Tensor(rng.standard_normal((1, 4)))
-            v = Tensor(rng.standard_normal((1, 4)))
-            out, state = retention_recurrent_step(state, q, k, v, 0.0)
-            expected = (q.data @ k.data.T) * v.data
-            np.testing.assert_allclose(out.data, expected, atol=1e-13)
+            q = rng.standard_normal((1, 4))
+            k = rng.standard_normal((1, 4))
+            v = rng.standard_normal((1, 4))
+            out = retention_step(state, q, k, v, 0.0)
+            expected = (q @ k.T) / np.sqrt(4) * v
+            np.testing.assert_allclose(out, expected, atol=1e-13)
 
     def test_state_equals_brute_force_sum(self):
         rng = np.random.default_rng(14)
         d, n, gamma = 6, 10, 0.8
         ks = rng.standard_normal((n, d))
         vs = rng.standard_normal((n, d))
-        state = RetentionState.fresh(d)
+        state = np.zeros((1, 1, d, d))
         for i in range(n):
-            _, state = retention_recurrent_step(
-                state,
-                Tensor(np.zeros((1, d))),
-                Tensor(ks[i:i + 1]),
-                Tensor(vs[i:i + 1]),
-                gamma,
-            )
+            retention_step(state, np.zeros((1, d)), ks[i:i + 1], vs[i:i + 1],
+                           gamma)
         expected = sum(
             gamma ** (n - 1 - m) * np.outer(ks[m], vs[m]) for m in range(n)
         )
-        assert np.max(np.abs(state.s - expected)) < 1e-10
+        assert np.max(np.abs(state[0, 0] - expected)) < 1e-10
 
     def test_sixteen_steps_reproduce_parallel(self):
         rng = np.random.default_rng(15)
         x = Tensor(rng.standard_normal((16, 8)))
         wq, wk, wv = (Tensor(rng.standard_normal((8, 8))) for _ in range(3))
         gamma = 0.9
-        par = retention_parallel(x, wq, wk, wv, build_decay(16, gamma)).data
-        rec = retention_recurrent(x, wq, wk, wv, gamma).data
+        par = parallel(x, wq, wk, wv, build_decay(16, gamma)).data
+        rec = recurrent(x, wq, wk, wv, gamma)
         assert np.max(np.abs(par - rec)) < 1e-10
 
     def test_state_shape_mismatch_rejected(self):
-        q = Tensor(np.zeros((1, 3)))
+        q = np.zeros((1, 3))
         with pytest.raises(ValueError):
-            retention_recurrent_step(RetentionState.fresh(4), q, q, q, 0.5)
+            retention_step(np.zeros((1, 1, 4, 4)), q, q, q, 0.5)
+
+    @given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 3),
+           heads=st.integers(1, 3), d_head=st.integers(1, 4),
+           steps=st.integers(1, 95),
+           gammas=st.lists(st.floats(0.05, 0.999), min_size=3, max_size=3))
+    def test_state_norm_bound(self, seed, lanes, heads, d_head, steps, gammas):
+        # for fixed gamma, ||S_t||_F <= sum_m gamma^(t-m) ||k_m|| ||v_m||
+        # <= max_m ||k_m|| ||v_m|| / (1 - gamma), per lane and head
+        rng = np.random.default_rng(seed)
+        gamma = np.array(gammas[:heads])
+        d = heads * d_head
+        state = np.zeros((lanes, heads, d_head, d_head))
+        weighted = np.zeros((lanes, heads))
+        largest = np.zeros((lanes, heads))
+        slack = 1.0 + 1e-9
+        for _ in range(steps):
+            k, v = rng.standard_normal((2, lanes, d)) * rng.uniform(0.0, 3.0)
+            retention_step(state, np.zeros((lanes, d)), k, v,
+                           gamma[:, None, None])
+            size = (np.linalg.norm(k.reshape(lanes, heads, d_head), axis=-1)
+                    * np.linalg.norm(v.reshape(lanes, heads, d_head), axis=-1))
+            weighted = gamma * weighted + size
+            largest = np.maximum(largest, size)
+            assert np.all(np.linalg.norm(state, axis=(-2, -1))
+                          <= weighted * slack)
+            assert np.all(weighted <= largest / (1.0 - gamma) * slack)
 
 
 class TestGradients:
@@ -331,7 +377,7 @@ class TestGradients:
         weights = rng.standard_normal((3, 6))
 
         def loss(x):
-            out = retention_parallel(x, wq, wk, wv, decay)
+            out = parallel(x, wq, wk, wv, decay)
             return sum_all(mul_const(out, weights))
 
         x = Tensor(rng.standard_normal((3, 6)))
@@ -348,8 +394,8 @@ class TestEquivalenceSweep:
             gamma = [0.1, 0.5, 0.96875][trial % 3]
             x = Tensor(rng.standard_normal((n, d)))
             wq, wk, wv = (Tensor(rng.standard_normal((d, d))) for _ in range(3))
-            par = retention_parallel(x, wq, wk, wv, build_decay(n, gamma)).data
-            rec = retention_recurrent(x, wq, wk, wv, gamma).data
+            par = parallel(x, wq, wk, wv, build_decay(n, gamma)).data
+            rec = recurrent(x, wq, wk, wv, gamma)
             worst = max(worst, float(np.max(np.abs(par - rec))))
         assert worst <= 1e-10
 
@@ -357,10 +403,10 @@ class TestEquivalenceSweep:
         rng = np.random.default_rng(17)
         x = Tensor(rng.standard_normal((7, 4)))
         wq, wk, wv = (Tensor(rng.standard_normal((4, 4))) for _ in range(3))
-        fixed = retention_parallel(
+        fixed = parallel(
             x, wq, wk, wv, build_decay(7, 0.75), PhaseConfig(enabled=False)
         ).data
-        gated = retention_parallel(
+        gated = parallel(
             x, wq, wk, wv, build_decay_gated(np.full(7, 0.75)),
             PhaseConfig(enabled=False),
         ).data
