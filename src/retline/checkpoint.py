@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, parameter_specs
 
 _DTYPE = "<f4"
 
@@ -44,9 +44,10 @@ def save_checkpoint(model: Model, path_prefix: str) -> None:
 
 def load_checkpoint(path_prefix: str) -> Model:
     """The model, its parameters read straight from the blob (no random
-    initialization is drawn). A malformed manifest or blob, tensor byte
-    ranges that do not tile the blob among them, raises ValueError naming
-    the checkpoint."""
+    initialization is drawn) once every tensor's byte range, taken from the
+    manifest's shapes and offsets, is checked to tile the blob. A malformed
+    manifest or blob, or ranges that do not tile it, raises ValueError
+    naming the checkpoint."""
     try:
         with open(path_prefix + ".json", "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -62,9 +63,8 @@ def load_checkpoint(path_prefix: str) -> Model:
         cfg_dict = dict(manifest["config"])
         cfg_dict["cnn_channels"] = tuple(cfg_dict["cnn_channels"])
         config = ModelConfig(**cfg_dict)
-        spans = []  # (start, end, name) of every tensor read
-
-        def values(name: str, shape: tuple) -> np.ndarray:
+        spans = []  # (start, end, name) of every tensor the model reads
+        for name, shape, _ in parameter_specs(config):
             entry = manifest["tensors"].get(name)
             if entry is None:
                 raise ValueError(f"missing tensor {name!r}")
@@ -74,19 +74,14 @@ def load_checkpoint(path_prefix: str) -> Model:
                     f"tensor {name!r} has shape {stored} in the checkpoint, "
                     f"model expects {shape}"
                 )
-            count = int(np.prod(shape)) if shape else 1
             start = entry["offset"]
             if type(start) is not int:
                 raise ValueError(f"tensor {name!r} has offset {start!r}, "
                                  "not an integer")
-            end = start + 4 * count
+            end = start + 4 * int(np.prod(shape))
             if end > len(raw):
                 raise ValueError(f"blob truncated while reading tensor {name!r}")
             spans.append((start, end, name))
-            flat = np.frombuffer(raw, dtype=_DTYPE, count=count, offset=start)
-            return flat.astype(np.float64).reshape(shape)
-
-        model = Model(config, values=values)
         end = 0  # sorted by start, the ranges must tile the blob
         for start, stop, name in sorted(spans):
             if start != end:
@@ -95,6 +90,10 @@ def load_checkpoint(path_prefix: str) -> Model:
             end = stop
         if end != len(raw):
             raise ValueError(f"tensors end at byte {end}, the blob at {len(raw)}")
+        offsets = {name: start for start, _, name in spans}
+        model = Model(config, values=lambda name, shape: np.frombuffer(
+            raw, _DTYPE, int(np.prod(shape)), offsets[name]
+        ).astype(np.float64).reshape(shape))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path_prefix}: {type(exc).__name__}: {exc}") from exc
     return model

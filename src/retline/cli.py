@@ -215,7 +215,7 @@ def _check_lines_fit(model, ds, path) -> None:
     embed, naming the manifest and the line."""
     for sample in ds.samples:
         try:
-            model.check_image(sample.image.shape)
+            model.check_image((1, sample.height, sample.width))
         except ValueError as exc:
             raise ValueError(f"{path}: {sample.sample_id}: {exc}") from None
 

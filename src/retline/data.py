@@ -1,10 +1,11 @@
 """Synthetic text-line dataset machinery: vocabulary, tokenization, rendering,
 augmentation, and manifest IO.
 
-Images are grayscale in [0, 1] with the stroke near 1 on a dark background
-(pre-inverted), at a fixed line height. Rendering is deterministic given
-(text, seed); augmentation draws every decision from named substreams of the
-given seed so datasets reproduce exactly.
+Lines are held as 8-bit grayscale pixels, stroke near 255 on a dark
+background (pre-inverted), at a fixed line height; the model reads them as
+float images in [0, 1]. Rendering is deterministic given (text, seed);
+augmentation draws every decision from named substreams of the given seed
+so datasets reproduce exactly.
 """
 
 from __future__ import annotations
@@ -84,19 +85,24 @@ def detokenize(ids, vocab: Vocab) -> str:
 
 @dataclass(frozen=True)
 class LineSample:
-    """One rendered line: grayscale image (1, h, w) in [0, 1] plus transcript."""
+    """One line: (h, w) uint8 pixels plus transcript. `image` builds the
+    (1, h, w) float image pixels / 255 on each access and keeps nothing."""
 
-    image: Tensor
+    pixels: np.ndarray
     transcript: str
     sample_id: str
 
     @property
+    def image(self) -> Tensor:
+        return Tensor._wrap(self.pixels[None] / 255.0, False)
+
+    @property
     def height(self) -> int:
-        return self.image.shape[1]
+        return self.pixels.shape[0]
 
     @property
     def width(self) -> int:
-        return self.image.shape[2]
+        return self.pixels.shape[1]
 
 
 def glyph_advance(height: int) -> int:
@@ -109,7 +115,7 @@ def glyph_advance(height: int) -> int:
 def render_line(text: str, height: int = DEFAULT_HEIGHT, seed: int = 0,
                 sample_id: str | None = None) -> LineSample:
     """Lay glyphs left to right with fixed spacing, scaled to the line height,
-    stroke = 1 on background 0. Deterministic for a given (text, seed)."""
+    stroke 255 on background 0. Deterministic for a given (text, seed)."""
     if not text:
         raise ValueError("cannot render an empty transcript")
     for c in text:
@@ -118,13 +124,14 @@ def render_line(text: str, height: int = DEFAULT_HEIGHT, seed: int = 0,
     advance = glyph_advance(height)
     scale = advance // (GLYPH_WIDTH + 1)
     width = 2 * _MARGIN + advance * len(text)
-    img = np.zeros((height, width))
+    pixels = np.zeros((height, width), dtype=np.uint8)
     top = (height - GLYPH_HEIGHT * scale) // 2
     # each glyph cell, spacing column included, scaled by exact repetition
-    img[top:top + GLYPH_HEIGHT * scale, _MARGIN:width - _MARGIN] = (
-        glyph_strip(text).repeat(scale, axis=0).repeat(scale, axis=1))
+    cells = _quantize(glyph_strip(text))
+    pixels[top:top + GLYPH_HEIGHT * scale, _MARGIN:width - _MARGIN] = (
+        cells.repeat(scale, axis=0).repeat(scale, axis=1))
     return LineSample(
-        image=Tensor(img[None, :, :]),
+        pixels=pixels,
         transcript=text,
         sample_id=sample_id if sample_id is not None else f"r{seed}_{text[:8]}",
     )
@@ -166,14 +173,14 @@ AUGMENTATION_NAMES = (
 )
 
 
-def augment(sample: LineSample, seed: int) -> LineSample:
-    """Apply each of the six augmentations independently with probability 1/2:
-    width padding, squeeze/stretch, erosion, dilation, gaussian noise, and
-    background salt specks. Height and transcript never change; pixels stay
-    in [0, 1]. Deterministic for a given seed."""
+def augment(sample: LineSample, seed: int) -> Tensor:
+    """The (1, h, w) float image of `sample` after six augmentations, each
+    applied with probability 1/2: width padding, squeeze/stretch, erosion,
+    dilation, gaussian noise, and background salt specks. Height is kept and
+    values stay in [0, 1]. Deterministic for a given seed."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     gates = rng.random(len(AUGMENTATION_NAMES)) < 0.5
-    img = sample.image.data[0].copy()
+    img = sample.image.data[0]
     if gates[0]:
         left, right = rng.integers(1, 9, size=2)
         img = np.pad(img, ((0, 0), (int(left), int(right))),
@@ -188,28 +195,40 @@ def augment(sample: LineSample, seed: int) -> LineSample:
         img = img + rng.normal(0.0, 0.05, img.shape)
     if gates[5]:
         img = np.where(rng.random(img.shape) < 0.01, 1.0, img)
-    img = np.clip(img, 0.0, 1.0)
-    return replace(sample, image=Tensor(img[None, :, :]))
+    return Tensor._wrap(np.clip(img, 0.0, 1.0)[None], False)
 
 
 # ---------------------------------------------------------------------------
 # PGM + manifest IO
 
 
+def _quantize(img: np.ndarray) -> np.ndarray:
+    """8-bit pixels of an image in [0, 1]: scaled, rounded and clipped."""
+    return np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
+
+
+def _write_pixels(path, pixels: np.ndarray) -> None:
+    h, w = pixels.shape
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(pixels.tobytes())
+
+
 def write_pgm(path, img: np.ndarray) -> None:
     """Binary 8-bit PGM (P5); input values in [0, 1]."""
     if img.ndim != 2:
         raise ValueError("write_pgm expects a 2-D image")
-    data = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
-    h, w = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    _write_pixels(path, _quantize(img))
 
 
 def read_pgm(path) -> np.ndarray:
     """(h, w) pixels in [0, 1] of an 8-bit binary PGM. Any malformed file
     raises a ValueError that names it."""
+    return _read_pixels(path) / 255.0
+
+
+def _read_pixels(path) -> np.ndarray:
+    """The (h, w) uint8 pixels of the PGM that read_pgm reads."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.startswith(b"P5"):
@@ -240,8 +259,8 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(f"{path}: only 8-bit PGM is supported")
     if len(raw) - pos < h * w:
         raise ValueError(f"{path}: truncated pixel data")
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=h * w, offset=pos)
-    return pixels.reshape(h, w).astype(np.float64) / 255.0
+    return np.frombuffer(raw, dtype=np.uint8, count=h * w,
+                         offset=pos).reshape(h, w)
 
 
 @dataclass(frozen=True)
@@ -270,9 +289,10 @@ def generate_dataset(out_dir, chars: str, count: int, min_len: int, max_len: int
         sample = render_line(text, height=height, seed=seed,
                              sample_id=f"line{i:05d}")
         if augment_lines:
-            sample = augment(sample, seed=int(rng.integers(0, 2 ** 31)))
+            image = augment(sample, seed=int(rng.integers(0, 2 ** 31)))
+            sample = replace(sample, pixels=_quantize(image.data[0]))
         rel = os.path.join("images", f"{sample.sample_id}.pgm")
-        write_pgm(os.path.join(out_dir, rel), sample.image.data[0])
+        _write_pixels(os.path.join(out_dir, rel), sample.pixels)
         samples.append(sample)
         lines.append(f"{sample.sample_id}\t{rel}\t{text}")
     with open(os.path.join(out_dir, "manifest.tsv"), "w", encoding="utf-8") as fh:
@@ -346,8 +366,8 @@ def load_manifest(path) -> Dataset:
     if vocab is None:
         vocab = Vocab.from_texts([t for _, _, t in entries])
     samples = tuple(
-        LineSample(image=Tensor(read_pgm(img_path)[None, :, :]),
-                   transcript=transcript, sample_id=sample_id)
+        LineSample(pixels=_read_pixels(img_path), transcript=transcript,
+                   sample_id=sample_id)
         for sample_id, img_path, transcript in entries
     )
     return Dataset(samples=samples, vocab=vocab)

@@ -151,7 +151,7 @@ def _const(value: float):
     return lambda rng, shape: np.full(shape, value)
 
 
-def _parameter_specs(cfg: ModelConfig):
+def parameter_specs(cfg: ModelConfig):
     """(name, shape, init) of every parameter, in the order the random
     initialization draws them; `init(rng, shape)` gives initial values."""
     zeros, ones = _const(0.0), _const(1.0)
@@ -397,7 +397,7 @@ class Model:
         self.params: dict[str, Tensor] = {
             name: Tensor(_f32(init(rng, shape)) if values is None
                          else values(name, shape), requires_grad=True)
-            for name, shape, init in _parameter_specs(config)}
+            for name, shape, init in parameter_specs(config)}
         # the config is frozen, so the table this schedule caches never goes
         # stale
         self.schedule = GammaSchedule(config.gamma_strategy, config.layers,
@@ -410,9 +410,6 @@ class Model:
         # decode steps' position rows, grown past max_text_len on demand
         self._positions = sinusoidal_positions(config.max_text_len,
                                                config.d_model)
-
-    def parameter_shapes(self) -> dict:
-        return {name: t.shape for name, t in self.params.items()}
 
     # --- embedders
 

@@ -3,7 +3,7 @@
 The decay matrix (RetNet's D) weights pairwise query/key scores by powers of
 a factor gamma in (0,1), replacing softmax for causal token mixing. The
 builders return it as a plain array with entries in [0, 1]: lower-triangular
-for the causal and gated kinds, symmetric for the bidirectional kind, and an
+for the causal kind, symmetric for the bidirectional kind, and an
 (H, n, n) stack when built from one gamma per head. The same operator admits
 an exactly equivalent recurrent form driven by a fixed-size state, which is
 what makes constant-memory decoding possible; both forms are fusion kernels
@@ -47,20 +47,6 @@ def build_decay(n: int, gamma) -> np.ndarray:
     idx = np.arange(n)
     power = idx[:, None] - idx[None, :]
     return np.tril(gamma ** np.maximum(power, 0))
-
-
-def build_decay_gated(gammas) -> np.ndarray:
-    """Product-form decay from per-position gates: entry (i, j) multiplies the
-    gates of positions j+1 .. i, evaluated as exp(L_i - L_j) over the
-    cumulative log-gates L. Gates are typically sigmoid(x W)^(1/tau)."""
-    g = np.asarray(gammas, dtype=np.float64)
-    if g.ndim != 1 or g.size < 1:
-        raise ValueError("gates must be a nonempty vector")
-    if np.any(g <= 0.0) or np.any(g >= 1.0):
-        raise ValueError("every gate must lie strictly inside (0, 1)")
-    cum = np.cumsum(np.log(g))
-    tril = np.tril(np.ones((g.size, g.size)))
-    return np.exp((cum[:, None] - cum[None, :]) * tril) * tril
 
 
 def build_decay_bidirectional(n: int, gamma) -> np.ndarray:

@@ -282,9 +282,6 @@ class Tensor:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor._wrap(self.data, False)
-
     def __repr__(self):
         rg = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{rg})"

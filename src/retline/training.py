@@ -144,13 +144,12 @@ def train(model: Model, train_samples, val_samples, vocab: Vocab,
             optimizer.zero_grad()
             batch_loss = 0.0
             for idx, sample in batch:
-                if settings.augment_train:
-                    sample = augment(
-                        sample, seed=(settings.seed * 131 + epoch) * 100003 + idx
-                    )
+                seed = (settings.seed * 131 + epoch) * 100003 + idx
+                image = (augment(sample, seed) if settings.augment_train
+                         else sample.image)
                 inputs, targets = teacher_pair(tokens[sample.sample_id])
                 with Tape():
-                    logits = model.forward(sample.image, inputs,
+                    logits = model.forward(image, inputs,
                                            train=TrainContext(rng=dropout_rng))
                     loss = training_loss(logits, targets,
                                          epsilon=settings.label_smoothing)

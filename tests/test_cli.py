@@ -138,6 +138,32 @@ class TestSubcommands:
             fb = (tmp_path / "b" / "images" / name).read_bytes()
             assert fa == fb
 
+    def test_augmented_train_matches_pinned_digests(self, tmp_path):
+        # sha256 of the outputs, captured while every held line was a
+        # float64 image; gen-data and every training epoch both augment
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "chars=abcd\ncount=10\nmin_len=2\nmax_len=4\nval_count=2\n"
+            "layers=1\nheads=2\nd_model=16\nd_ff=32\ncnn_channels=4,8,8\n"
+            "max_text_len=8\nepochs=2\nbatch_size=4\nlr_max=0.003\n"
+            "augment_train=true\ndropout_mix=0\ndropout_embed=0\n")
+        data_dir, out = str(tmp_path / "data"), tmp_path / "train"
+        assert main(["--seed", "3", "--out-dir", data_dir, "--config",
+                     str(cfg), "gen-data"]) == 0
+        assert main(["--seed", "4", "--out-dir", str(out), "--config",
+                     str(cfg), "train", "--data",
+                     os.path.join(data_dir, "manifest.tsv")]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("metrics.csv", "model.bin", "model.json")}
+        assert digests == {
+            "metrics.csv": "69f7e0e7865829d6b90d2452388be6ad"
+                           "02faba60d982b951cdb6d56da8dbda22",
+            "model.bin": "af03c42c0bb40c03011e6821cbab9aa8"
+                         "652981d91ecf942c2d32723fbff6ad8f",
+            "model.json": "9b3de9fb2d0ede119875aa5280175a3f"
+                          "1da6d9af28e12d0f474ab6f3471d7e6a",
+        }
+
     def test_train_then_decode_round_trip(self, tmp_path):
         data_dir = str(tmp_path / "data")
         cfg = tmp_path / "run.cfg"
@@ -153,7 +179,8 @@ class TestSubcommands:
                      "--data", os.path.join(data_dir, "manifest.tsv")]) == 0
         assert os.path.exists(os.path.join(train_out, "model.json"))
         assert os.path.exists(os.path.join(train_out, "metrics.csv"))
-        header = open(os.path.join(train_out, "metrics.csv")).readline().strip()
+        with open(os.path.join(train_out, "metrics.csv")) as fh:
+            header = fh.readline().strip()
         assert header == "epoch,step,lr,loss,val_cer,val_wer"
 
         decode_out = str(tmp_path / "dec")

@@ -111,6 +111,8 @@ class TestRender:
         assert s.height == 32
         assert set(np.unique(s.image.data)) <= {0.0, 1.0}
         assert s.image.data.sum() > 0
+        assert s.pixels.dtype == np.uint8
+        assert set(np.unique(s.pixels)) <= {0, 255}
 
     def test_distinct_glyphs_render_differently(self):
         a = render_line("a").image.data
@@ -127,7 +129,7 @@ class TestAugment:
         s = self.sample()
         a = augment(s, seed=11)
         b = augment(s, seed=11)
-        np.testing.assert_array_equal(a.image.data, b.image.data)
+        np.testing.assert_array_equal(a.data, b.data)
 
     def test_all_gates_off_is_identity(self):
         s = self.sample()
@@ -135,7 +137,7 @@ class TestAugment:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
             if not (rng.random(6) < 0.5).any():
                 out = augment(s, seed=seed)
-                np.testing.assert_array_equal(out.image.data, s.image.data)
+                np.testing.assert_array_equal(out.data, s.image.data)
                 return
         pytest.fail("no seed with all augmentation gates off in range")
 
@@ -144,18 +146,21 @@ class TestAugment:
         assert erode(img).sum() <= img.sum()
         assert dilate(img).sum() >= img.sum()
 
-    def test_transcript_never_changes(self):
+    def test_sample_pixels_and_transcript_untouched(self):
         s = self.sample()
+        pixels = s.pixels.copy()
         for seed in range(20):
-            assert augment(s, seed).transcript == s.transcript
+            augment(s, seed)
+            assert s.transcript == "abcd"
+            np.testing.assert_array_equal(s.pixels, pixels)
 
     def test_range_and_height_preserved(self):
         s = self.sample()
         for seed in range(20):
             out = augment(s, seed)
-            assert out.height == s.height
-            assert out.image.data.min() >= 0.0
-            assert out.image.data.max() <= 1.0
+            assert out.shape[:2] == (1, s.height)
+            assert out.data.min() >= 0.0
+            assert out.data.max() <= 1.0
 
 
 class TestPgm:
@@ -212,6 +217,41 @@ class TestManifest:
             assert back.sample_id == orig.sample_id
             assert back.transcript == orig.transcript
             np.testing.assert_array_equal(back.image.data, orig.image.data)
+
+    def test_augmented_samples_equal_loaded(self, tmp_path):
+        # the round trip above without augmentation, here with it: the
+        # returned samples hold the bytes written, not the float image
+        ds = generate_dataset(tmp_path, "abcd", count=6, min_len=2, max_len=5,
+                              seed=9, augment_lines=True)
+        loaded = load_manifest(tmp_path / "manifest.tsv")
+        for orig, back in zip(ds.samples, loaded.samples):
+            assert orig.pixels.dtype == np.uint8
+            np.testing.assert_array_equal(back.pixels, orig.pixels)
+            assert back.image.data.tobytes() == orig.image.data.tobytes()
+
+    def test_loaded_samples_hold_bytes(self, tmp_path):
+        generate_dataset(tmp_path, "abcd", count=4, min_len=2, max_len=5,
+                         seed=3, augment_lines=True)
+        loaded = load_manifest(tmp_path / "manifest.tsv")
+        for sample in loaded.samples:
+            h, w = sample.pixels.shape
+            assert sample.pixels.dtype == np.uint8
+            assert sample.pixels.nbytes == h * w
+            assert (sample.height, sample.width) == (h, w)
+            path = tmp_path / "images" / f"{sample.sample_id}.pgm"
+            assert (sample.image.data.tobytes()
+                    == read_pgm(path)[None].tobytes())
+
+    def test_image_of_every_level_is_its_pgm_value(self, tmp_path):
+        # the float each byte gave when read_pgm cast before dividing
+        levels = np.arange(256, dtype=np.uint8).reshape(2, 128)
+        expected = levels.astype(np.float64) / 255.0
+        path = tmp_path / "levels.pgm"
+        write_pgm(path, expected)
+        sample = LineSample(pixels=levels, transcript="a", sample_id="x")
+        assert sample.image.data.dtype == np.float64
+        assert sample.image.data.tobytes() == expected[None].tobytes()
+        assert read_pgm(path).tobytes() == expected.tobytes()
 
     def test_generation_is_reproducible(self, tmp_path):
         a = generate_dataset(tmp_path / "a", "abc", 4, 2, 4, seed=5)

