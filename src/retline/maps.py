@@ -36,11 +36,6 @@ def collect_maps(model: Model, image: Tensor, input_ids) -> list:
     return layers
 
 
-def sub_diagonal_mass(matrix: np.ndarray) -> float:
-    """Sum of absolute values strictly below the diagonal."""
-    return float(np.abs(np.tril(matrix, k=-1)).sum())
-
-
 def _write_matrix(out_dir: str, name: str, matrix: np.ndarray) -> None:
     np.savetxt(os.path.join(out_dir, name + ".csv"), matrix, delimiter=",")
     lo, hi = matrix.min(), matrix.max()

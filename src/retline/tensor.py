@@ -15,6 +15,14 @@ as when a decode builds its image cache: the CNN, whose stages are each one
 `conv` (im2col columns times the weights, plus the bias) on channels-last
 (h, w, c) maps, and each layer's image-only forward.
 
+A Tape keeps only what backward reads. Each node is its inputs' keys and a
+gradient closure over the arrays, shapes and flags that closure reads;
+gradients are routed by node number, and only the leaves, whose `.grad`
+backward sets, are held by reference. An intermediate that no closure reads
+(the raw scores under a `mul_const`, a slice's copy, a GELU output that feeds
+the next `conv`, a residual sum ahead of a layer norm) is freed as soon as
+the forward code drops it, not when the tape ends.
+
 Beyond the standard library, numpy is the only import at load time. The
 exact GELU's erf is scipy's ufunc, taken at the first GELU from scipy's
 compiled `_special_ufuncs` module, loaded alone (`_load_erf`): retline
@@ -27,6 +35,7 @@ finite-difference loop.
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import numpy as np
@@ -247,10 +256,11 @@ class Tensor:
     """n-dimensional float64 array, optionally tracked for gradients.
 
     Data is immutable by convention after construction; ops return fresh
-    tensors. `grad` is populated on requires_grad leaves by backward().
+    tensors. `grad` is populated on requires_grad leaves by backward(). A
+    tensor a tape recorded carries that tape's serial and its node number.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -259,6 +269,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self._tape = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
@@ -267,6 +278,7 @@ class Tensor:
         t.data = arr
         t.requires_grad = requires_grad
         t.grad = None
+        t._tape = None
         return t
 
     @property
@@ -308,16 +320,28 @@ class Tensor:
         return matmul(self, other)
 
 
+_TAPE_SERIALS = itertools.count()
+
+
 class Tape:
     """Ordered record of executed primitives for one forward pass.
 
     Used as a context manager; ops executed inside record themselves, and
     backward() replays the records in exact reverse execution order. One tape
     per forward pass, confined to a single thread.
+
+    A node is its inputs' keys and its gradient closure; its output's number
+    is its position. An input the tape produced is keyed by its node number,
+    a requires_grad leaf (a parameter, or any tensor this tape did not
+    produce) by the negative key ~id(leaf) in `_leaves`, and an input that
+    needs no gradient by None. Only leaves are held: backward sets their
+    `.grad`, and holding them keeps their ids unique.
     """
 
     def __init__(self):
-        self._nodes = []  # (out, inputs, grad_fn)
+        self._serial = next(_TAPE_SERIALS)
+        self._nodes = []  # (input keys, grad_fn)
+        self._leaves = {}  # ~id(leaf) -> leaf
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -327,8 +351,19 @@ class Tape:
         _tape_stack().pop()
         return False
 
+    def _key(self, t: Tensor):
+        if not t.requires_grad:
+            return None
+        if t._tape == self._serial:
+            return t._node
+        key = ~id(t)
+        self._leaves[key] = t
+        return key
+
     def record(self, out: Tensor, inputs: tuple, grad_fn) -> None:
-        self._nodes.append((out, inputs, grad_fn))
+        keys = tuple([self._key(t) for t in inputs])
+        out._tape, out._node = self._serial, len(self._nodes)
+        self._nodes.append((keys, grad_fn))
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -368,27 +403,30 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ValueError(f"backward() needs a scalar loss, got shape {loss.shape}")
 
-    # pass-local gradients keyed by tensor identity; leaves are whatever is
-    # left once every recorded node has consumed its output gradient
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-    for out, inputs, grad_fn in reversed(tape._nodes):
-        g = grads.pop(id(out), None)
-        holders.pop(id(out), None)
+    # pass-local gradients keyed by node number or leaf key (see Tape);
+    # leaves are whatever is left once every recorded node has consumed its
+    # output gradient. A loss this tape did not produce is its own leaf.
+    seed = np.ones_like(loss.data)
+    if loss._tape != tape._serial:
+        loss.grad = seed if loss.grad is None else loss.grad + seed
+        return
+    nodes = tape._nodes
+    grads: dict[int, np.ndarray] = {loss._node: seed}
+    for number in range(loss._node, -1, -1):
+        g = grads.pop(number, None)
         if g is None:
             continue
+        keys, grad_fn = nodes[number]
         contribs = grad_fn(g)
-        for t, c in zip(inputs, contribs):
-            if c is None or not t.requires_grad:
+        for key, c in zip(keys, contribs):
+            if c is None or key is None:
                 continue
-            key = id(t)
             if key in grads:
                 grads[key] = grads[key] + c
             else:
                 grads[key] = c
-                holders[key] = t
-    for key, t in holders.items():
-        g = grads[key]
+    for key, g in grads.items():
+        t = tape._leaves[key]
         t.grad = g.copy() if t.grad is None else t.grad + g
 
 
@@ -407,9 +445,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _record(out, (a, b), grad_fn)
     if b.data.ndim == 1 and a.data.ndim >= 1 and a.shape[-1] == b.shape[0]:
         out = Tensor._wrap(a.data + b.data, False)
+        d = b.shape[0]
 
         def grad_fn(g):
-            gb = g.reshape(-1, b.shape[0]).sum(axis=0)
+            gb = g.reshape(-1, d).sum(axis=0)
             return g, gb
 
         return _record(out, (a, b), grad_fn)
@@ -430,10 +469,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor._wrap(a.data * b.data, False)
+    ad, bd = a.data, b.data
+    out = Tensor._wrap(ad * bd, False)
 
     def grad_fn(g):
-        return g * b.data, g * a.data
+        return g * bd, g * ad
 
     return _record(out, (a, b), grad_fn)
 
@@ -452,10 +492,13 @@ def mul_const(a: Tensor, c) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D matrix product; registers m*k*p mults and m*p*(k-1) adds."""
     out = Tensor._wrap(matmul_fwd(a.data, b.data), False)
+    # each operand is kept only for the other's gradient
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def grad_fn(g):
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
+        ga = g @ bd.T if bd is not None else None
+        gb = ad.T @ g if ad is not None else None
         return ga, gb
 
     return _record(out, (a, b), grad_fn)
@@ -464,10 +507,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def bmatmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched product of (n, m, k) and (n, k, p) stacks (see bmatmul_fwd)."""
     out = Tensor._wrap(bmatmul_fwd(a.data, b.data), False)
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def grad_fn(g):
-        ga = np.matmul(g, b.data.transpose(0, 2, 1)) if a.requires_grad else None
-        gb = np.matmul(a.data.transpose(0, 2, 1), g) if b.requires_grad else None
+        ga = np.matmul(g, bd.transpose(0, 2, 1)) if bd is not None else None
+        gb = np.matmul(ad.transpose(0, 2, 1), g) if ad is not None else None
         return ga, gb
 
     return _record(out, (a, b), grad_fn)
@@ -498,9 +543,10 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     if a.data.ndim < 2:
         raise ValueError("slice_rows expects a tensor of at least 2 dimensions")
     out = Tensor._wrap(a.data[..., start:stop, :].copy(), False)
+    shape = a.shape
 
     def grad_fn(g):
-        ga = np.zeros(a.shape)
+        ga = np.zeros(shape)
         ga[..., start:stop, :] = g
         return (ga,)
 
@@ -512,9 +558,10 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if a.data.ndim < 2:
         raise ValueError("slice_cols expects a tensor of at least 2 dimensions")
     out = Tensor._wrap(a.data[..., start:stop].copy(), False)
+    shape = a.shape
 
     def grad_fn(g):
-        ga = np.zeros(a.shape)
+        ga = np.zeros(shape)
         ga[..., start:stop] = g
         return (ga,)
 
@@ -545,9 +592,10 @@ def concat_cols(parts: list) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor._wrap(np.asarray(a.data.sum()), False)
+    shape = a.shape
 
     def grad_fn(g):
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _record(out, (a,), grad_fn)
 
@@ -598,17 +646,18 @@ def log_softmax_rows(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, exact erf form: x * Phi(x)."""
-    y, phi_cdf = gelu_fwd(x.data)
+    xd = x.data
+    y, phi_cdf = gelu_fwd(xd)
     out = Tensor._wrap(y, False)
 
     def grad_fn(g):
         # g * (Phi(x) + x * pdf(x)), pdf(x) = exp(-0.5 * x * x) / sqrt(2 pi),
         # on one temporary, operation for operation
-        t = x.data * -0.5
-        t *= x.data
+        t = xd * -0.5
+        t *= xd
         np.exp(t, out=t)
         t *= _INV_SQRT2PI
-        t *= x.data
+        t *= xd
         t += phi_cdf
         t *= g
         return (t,)
@@ -631,10 +680,11 @@ def exp(x: Tensor) -> Tensor:
 def log(x: Tensor) -> Tensor:
     if np.any(x.data <= 0):
         raise ValueError("log requires strictly positive inputs")
-    out = Tensor._wrap(np.log(x.data), False)
+    xd = x.data
+    out = Tensor._wrap(np.log(xd), False)
 
     def grad_fn(g):
-        return (g / x.data,)
+        return (g / xd,)
 
     return _record(out, (x,), grad_fn)
 
@@ -682,11 +732,12 @@ def pow_const(x: Tensor, p: float) -> Tensor:
     """x**p for strictly positive x (used for temperature-scaled gates)."""
     if np.any(x.data <= 0):
         raise ValueError("pow_const requires strictly positive inputs")
-    y = x.data ** p
+    xd = x.data
+    y = xd ** p
     out = Tensor._wrap(y, False)
 
     def grad_fn(g):
-        return (g * p * y / x.data,)
+        return (g * p * y / xd,)
 
     return _record(out, (x,), grad_fn)
 
@@ -694,19 +745,22 @@ def pow_const(x: Tensor, p: float) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each trailing-dim vector to zero mean / unit variance, then
     apply the affine gain and bias (see layer_norm_fwd)."""
-    y, xhat, inv = layer_norm_fwd(x.data, gain.data, bias.data)
+    gd = gain.data
+    y, xhat, inv = layer_norm_fwd(x.data, gd, bias.data)
     d = y.shape[-1]
     out = Tensor._wrap(y, False)
+    need_x, need_gain, need_bias = (x.requires_grad, gain.requires_grad,
+                                    bias.requires_grad)
 
     def grad_fn(g):
-        gg = g * gain.data
+        gg = g * gd
         gx = None
-        if x.requires_grad:
+        if need_x:
             m1 = gg.mean(axis=-1, keepdims=True)
             m2 = (gg * xhat).mean(axis=-1, keepdims=True)
             gx = (gg - m1 - xhat * m2) * inv
-        ggain = (g * xhat).reshape(-1, d).sum(axis=0) if gain.requires_grad else None
-        gbias = g.reshape(-1, d).sum(axis=0) if bias.requires_grad else None
+        ggain = (g * xhat).reshape(-1, d).sum(axis=0) if need_gain else None
+        gbias = g.reshape(-1, d).sum(axis=0) if need_bias else None
         return gx, ggain, gbias
 
     return _record(out, (x, gain, bias), grad_fn)
@@ -716,9 +770,10 @@ def embedding_rows(table: Tensor, ids) -> Tensor:
     """Gather rows of `table` by integer id."""
     ids = np.asarray(ids, dtype=np.int64)
     out = Tensor._wrap(embedding_fwd(table.data, ids), False)
+    shape = table.shape
 
     def grad_fn(g):
-        gt = np.zeros(table.shape)
+        gt = np.zeros(shape)
         np.add.at(gt, ids, g)
         return (gt,)
 
@@ -801,12 +856,16 @@ def conv(x: Tensor, w: Tensor, b: Tensor, kernel: int, stride: tuple,
     y = matmul_fwd(cols, w.data)
     y += b.data
     out = Tensor._wrap(y.reshape(oh, ow, c_out), False)
+    # the columns serve the weight gradient, the weights the input gradient
+    wd = w.data if x.requires_grad else None
+    cols = cols if w.requires_grad else None
+    need_b = b.requires_grad
 
     def grad_fn(g):
         g = g.reshape(oh * ow, c_out)
         gx = None
-        if x.requires_grad:
-            gc = (g @ w.data.T).reshape(oh, ow, c, kernel, kernel)
+        if wd is not None:
+            gc = (g @ wd.T).reshape(oh, ow, c, kernel, kernel)
             # col2im into stride-phase planes: padded element (r, s) lives at
             # planes[r % sh, s % sw, r // sh, s // sw], so each offset's add
             # writes contiguous ow*c runs. A padded element gets its terms in
@@ -821,8 +880,8 @@ def conv(x: Tensor, w: Tensor, b: Tensor, kernel: int, stride: tuple,
             gpad = planes.transpose(2, 0, 3, 1, 4).reshape(
                 sh * planes.shape[2], sw * planes.shape[3], c)
             gx = gpad[pad:pad + h, pad:pad + width]
-        gw = cols.T @ g if w.requires_grad else None
-        gb = g.sum(axis=0) if b.requires_grad else None
+        gw = cols.T @ g if cols is not None else None
+        gb = g.sum(axis=0) if need_b else None
         return gx, gw, gb
 
     return _record(out, (x, w, b), grad_fn)

@@ -16,3 +16,8 @@ def build_decay_gated(gammas) -> np.ndarray:
     cum = np.cumsum(np.log(g))
     tril = np.tril(np.ones((g.size, g.size)))
     return np.exp((cum[:, None] - cum[None, :]) * tril) * tril
+
+
+def sub_diagonal_mass(matrix: np.ndarray) -> float:
+    """Sum of absolute values strictly below the diagonal."""
+    return float(np.abs(np.tril(matrix, k=-1)).sum())

@@ -5,11 +5,11 @@ import pytest
 
 from retline.data import SOS_ID, read_pgm
 from retline.fusion import FusionSequence, build_armf_mask
-from retline.maps import collect_maps, dump_maps, sub_diagonal_mass
+from retline.maps import collect_maps, dump_maps
 from retline.model import Model, ModelConfig, attention_allow
 from retline.tensor import Tensor, concat_rows
 
-from oracles import build_decay_gated
+from oracles import build_decay_gated, sub_diagonal_mass
 
 
 def make_model(mixer="retention", layers=2, strategy="layerwise"):

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -571,8 +572,8 @@ class TestCheckpoint:
         loaded = load_checkpoint(p1)
         p2 = str(tmp_path / "b")
         save_checkpoint(loaded, p2)
-        assert open(p1 + ".bin", "rb").read() == open(p2 + ".bin", "rb").read()
-        assert open(p1 + ".json").read() == open(p2 + ".json").read()
+        assert Path(p1 + ".bin").read_bytes() == Path(p2 + ".bin").read_bytes()
+        assert Path(p1 + ".json").read_text() == Path(p2 + ".json").read_text()
 
     def test_load_reproduces_logits_bitwise(self, tmp_path):
         model = Model(tiny_config(), seed=4)
@@ -588,17 +589,17 @@ class TestCheckpoint:
 
         model = Model(tiny_config(), seed=5)
         save_checkpoint(model, str(tmp_path / "m"))
-        manifest = json.load(open(tmp_path / "m.json"))
+        manifest = json.loads((tmp_path / "m.json").read_text())
         manifest["tensors"]["head_w"]["shape"] = [2, 2]
-        json.dump(manifest, open(tmp_path / "m.json", "w"))
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="shape"):
             load_checkpoint(str(tmp_path / "m"))
 
     def test_truncated_blob_rejected(self, tmp_path):
         model = Model(tiny_config(), seed=6)
         save_checkpoint(model, str(tmp_path / "m"))
-        raw = open(tmp_path / "m.bin", "rb").read()
-        open(tmp_path / "m.bin", "wb").write(raw[:-8])
+        raw = (tmp_path / "m.bin").read_bytes()
+        (tmp_path / "m.bin").write_bytes(raw[:-8])
         with pytest.raises(ValueError):
             load_checkpoint(str(tmp_path / "m"))
 
@@ -627,9 +628,9 @@ class TestCheckpoint:
         import json
 
         save_checkpoint(Model(tiny_config(), seed=7), str(tmp_path / "m"))
-        manifest = json.load(open(tmp_path / "m.json"))
+        manifest = json.loads((tmp_path / "m.json").read_text())
         edit(manifest)
-        json.dump(manifest, open(tmp_path / "m.json", "w"))
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
         return str(tmp_path / "m")
 
     def test_unknown_config_key_names_the_file(self, tmp_path):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,84 @@ class TestBackward:
             kept = y.data.copy()
             backward(sum_all(y))
         np.testing.assert_array_equal(y.data, kept)
+
+
+class TestLeanTape:
+    """The tape holds leaves and the arrays its closures read, not the
+    tensors it recorded."""
+
+    @staticmethod
+    def chain(x, w, held, ids):
+        # thousands of intermediates, each dropped unless `held` keeps it
+        y = x
+        for i in range(1500):
+            z = mul_const(gelu(y), 0.5) if i % 3 else add(y, w)
+            y = layer_norm(z, w, w) if i % 50 == 0 else z
+            ids.add(id(y))
+            if held is not None:
+                held.append(y)
+        return sum_all(mul(y, y))
+
+    def test_dropped_intermediates_match_held_ones(self):
+        # dropped tensors free their ids, which CPython hands to new ones
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal(4), requires_grad=True)
+        grads, distinct = [], []
+        for held in (None, []):
+            x.grad = w.grad = None
+            ids = set()
+            with Tape() as tape:
+                loss = self.chain(x, w, held, ids)
+                backward(loss)
+            grads.append((x.grad, w.grad, loss.data))
+            distinct.append(len(ids))
+        assert len(tape) > 2500
+        assert distinct[0] < distinct[1] == 1500
+        for dropped, kept in zip(*grads):
+            assert dropped.tobytes() == kept.tobytes()
+
+    def test_tensor_of_an_earlier_tape_is_a_leaf(self):
+        x = Tensor([[1.0, -2.0]], requires_grad=True)
+        with Tape():
+            h = mul_const(x, 3.0)  # node 0 of this tape
+        with Tape():
+            backward(sum_all(mul(h, h)))  # node 0 again, on another tape
+        np.testing.assert_array_equal(h.grad, 2.0 * h.data)
+        assert x.grad is None
+
+    def test_unread_intermediate_is_freed(self):
+        rng = np.random.default_rng(13)
+        a = Tensor(rng.standard_normal(100_000), requires_grad=True)
+        b = Tensor(rng.standard_normal(100_000), requires_grad=True)
+        with Tape():
+            s = add(a, b)
+            alive = weakref.ref(s.data)
+            loss = sum_all(mul_const(s, 2.0))
+            del s
+            assert alive() is None
+            backward(loss)
+        np.testing.assert_array_equal(a.grad, np.full(100_000, 2.0))
+        np.testing.assert_array_equal(b.grad, np.full(100_000, 2.0))
+
+    @pytest.mark.parametrize("op", [
+        lambda t: slice_cols(t, 1, 3),
+        lambda t: concat_rows([t, t]),
+        lambda t: layer_norm(t, Tensor(np.ones(4), requires_grad=True),
+                             Tensor(np.zeros(4))),
+        lambda t: conv(t, *conv_case(4, 2, 3, seed=14), 3, (2, 1), 1),
+    ], ids=["slice_cols", "concat_rows", "layer_norm", "conv"])
+    def test_input_no_closure_reads_is_freed(self, op):
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.standard_normal((5, 6, 4)), requires_grad=True)
+        with Tape():
+            y = gelu(x)
+            alive = weakref.ref(y.data)
+            out = op(y)
+            del y
+            assert alive() is None
+            backward(sum_all(mul(out, out)))
+        assert x.grad is not None
 
 
 class TestGradCheck:
