@@ -239,6 +239,7 @@ def marmf_forward(
     gate_weights: Tensor | None = None,
     capture: list | None = None,
     first_row: int = 0,
+    kv: list | None = None,
 ) -> Tensor:
     """Multi-head fusion: each head runs with its own scheduled gamma, heads
     are concatenated, and the result goes through the output projection.
@@ -248,7 +249,8 @@ def marmf_forward(
     values still cover every row. With the gated schedule, per-position
     gates come from the text-token inputs through `gate_weights` instead of
     the fixed table. A `capture` list receives the (H, N - first_row, N)
-    mixing weights and the (H, N_T, N_T) text decay of this pass.
+    mixing weights and the (H, N_T, N_T) text decay of this pass, and a `kv`
+    list the (N, d) key and value products, before the head split.
     """
     if not 0 <= layer_index < schedule.layers:
         raise ValueError(f"layer index {layer_index} out of range")
@@ -260,8 +262,11 @@ def marmf_forward(
     # the query rows, then q, k and v, are recorded before the gates:
     # backward sums the input's gradient terms in tape order
     x_q = query_rows(seq.x, first_row)
-    q, k, v = (split_heads(matmul(x, w), cfg.heads) for x, w in
+    q, k, v = (matmul(x, w) for x, w in
                ((x_q, proj.wq), (seq.x, proj.wk), (seq.x, proj.wv)))
+    if kv is not None:
+        kv.append((k.data, v.data))
+    q, k, v = (split_heads(t, cfg.heads) for t in (q, k, v))
     image_rows = n_image - first_row  # zero rows of the text decay
     if schedule.strategy == "gated":
         if gate_weights is None:

@@ -238,17 +238,19 @@ class DecoderLayer:
     # --- parallel (training) path
 
     def forward(self, seq: FusionSequence, train: TrainContext | None,
-                capture: list | None = None, first_row: int = 0) -> Tensor:
+                capture: list | None = None, first_row: int = 0,
+                kv: list | None = None) -> Tensor:
         """Block output rows first_row..N (0 <= first_row <= N_I); keys and
-        values still cover every row."""
+        values still cover every row. A `kv` list receives the mixer's (N, d)
+        key and value products."""
         if self.config.mixer == "retention":
             mixed = marmf_forward(
                 seq, self.index, self.schedule, self.projections,
                 self.head_cfg, gate_weights=self.gate_weights, capture=capture,
-                first_row=first_row,
+                first_row=first_row, kv=kv,
             )
         else:
-            mixed = self._attention_mix(seq, capture, first_row)
+            mixed = self._attention_mix(seq, capture, first_row, kv)
         n = seq.x.shape[0]
         if train is not None:
             mixed = dropout(mixed, self.config.dropout_mix, train.rng, rows=n)
@@ -257,11 +259,14 @@ class DecoderLayer:
         return self._post(query_rows(seq.x, first_row), mixed, train, n)
 
     def _attention_mix(self, seq: FusionSequence, capture: list | None,
-                       first_row: int) -> Tensor:
+                       first_row: int, kv: list | None) -> Tensor:
         x_q = query_rows(seq.x, first_row)
         proj = self.projections
-        q, k, v = (split_heads(matmul(x, w), self.config.heads) for x, w in
+        q, k, v = (matmul(x, w) for x, w in
                    ((x_q, proj.wq), (seq.x, proj.wk), (seq.x, proj.wv)))
+        if kv is not None:
+            kv.append((k.data, v.data))
+        q, k, v = (split_heads(t, self.config.heads) for t in (q, k, v))
         allow = attention_allow(seq.n_image, seq.n_text)[first_row:]
         weights = masked_softmax_rows(scaled_scores(q, k), allow)
         if capture is not None:
@@ -511,17 +516,18 @@ class Model:
         """Per-layer (keys, values) of the (N_I, d) image rows, computed once
         before decoding, with no tape, and shared read-only by every decode
         lane. Each layer's image rows come from the previous layer's forward
-        of an image-only sequence (text rows cannot influence them)."""
+        of an image-only sequence (text rows cannot influence them), which
+        hands back the keys and values it computed; only the last layer's
+        are projected here."""
         cache = []
         with no_tape():
             x = self.embed_image(image)
-            for i, layer in enumerate(self.layers):
-                proj = layer.projections
-                cache.append((matmul_fwd(x.data, proj.wk.data),
-                              matmul_fwd(x.data, proj.wv.data)))
-                if i + 1 < len(self.layers):
-                    x = layer.forward(FusionSequence(x, x.shape[0], 0),
-                                      train=None)
+            for layer in self.layers[:-1]:
+                x = layer.forward(FusionSequence(x, x.shape[0], 0), train=None,
+                                  kv=cache)
+            proj = self.layers[-1].projections
+            cache.append((matmul_fwd(x.data, proj.wk.data),
+                          matmul_fwd(x.data, proj.wv.data)))
         return tuple(cache)
 
     def head_logits(self, x: np.ndarray) -> np.ndarray:

@@ -23,6 +23,20 @@ backward sets, are held by reference. An intermediate that no closure reads
 the next `conv`, a residual sum ahead of a layer norm) is freed as soon as
 the forward code drops it, not when the tape ends.
 
+A `conv` that a tape records takes its large arrays (the zero-padded map,
+the im2col columns, and in the backward the column gradient and the col2im
+planes) from a per-thread workspace of grow-only buffers that outlive the
+call (`_Workspace`), so a training loop stops handing them back to the OS
+and faulting them in again every sample. A buffer is handed out again only
+once nothing refers to the array over it: the columns a tape's closure
+holds stay put until the tape is gone. Under `no_tape` nothing outlives the
+call, and `conv` allocates afresh, as the heap already serves that pattern
+without faults. The values and the order of every sum are unchanged.
+
+Importing this module pins numpy's OpenBLAS to one thread
+(`_pin_blas_threads`), since some of the CNN's products round differently
+at other thread counts.
+
 Beyond the standard library, numpy is the only import at load time. The
 exact GELU's erf is scipy's ufunc, taken at the first GELU from scipy's
 compiled `_special_ufuncs` module, loaded alone (`_load_erf`): retline
@@ -36,11 +50,51 @@ finite-difference loop.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
+import weakref
 
 import numpy as np
 
 LAYERNORM_EPS = 1e-5
+
+
+def _pin_blas_threads() -> None:
+    """Run numpy's OpenBLAS on one thread, whatever OPENBLAS_NUM_THREADS
+    says. Some of the CNN's products (its stage-2 product and long weight
+    gradients) round differently at one thread and at two, so results are
+    reproducible bit for bit only at a fixed count, and at retline's shapes
+    a second thread buys no time. The library is the one numpy's wheel
+    ships in `numpy.libs`: loading it by path hands back the copy numpy
+    already runs. If it is absent or has no thread setter (another BLAS),
+    stderr says so."""
+    import ctypes
+    import os
+    import sys
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    try:
+        names = sorted(n for n in os.listdir(libs)
+                       if n.startswith("libscipy_openblas"))
+    except OSError:
+        names = []
+    for name in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+        except OSError:
+            continue
+        setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
+    print("retline: numpy's BLAS has no scipy_openblas_set_num_threads64_; "
+          "its thread count is left as it is, and results may differ in the "
+          "last bits between thread counts", file=sys.stderr)
+
+
+_pin_blas_threads()
 
 _TLS = threading.local()
 
@@ -59,6 +113,52 @@ def _counter_stack() -> list:
         stack = []
         _TLS.counters = stack
     return stack
+
+
+class _Workspace:
+    """Grow-only float64 buffers that a taped `conv` reuses from call to
+    call, one pool per thread.
+
+    `take(n)` hands out a fresh flat array over the smallest free buffer of
+    at least n elements. If none fits, the largest free buffer is replaced
+    by one of n elements, and only when every buffer is in use is one
+    added; so the pool holds no more buffers than were ever in use at once.
+    The array handed out is a new wrapper over the buffer's memory, which
+    every view of it keeps alive, and the pool holds it by weakref: a buffer
+    is free once that array and every view of it are gone, such as the
+    columns a tape's gradient closure captured, or an input gradient still
+    waiting in `backward`."""
+
+    __slots__ = ("slots",)
+
+    def __init__(self):
+        self.slots = []  # [buffer, weakref to its live array or None], by size
+
+    def take(self, n: int) -> np.ndarray:
+        grow = None
+        for i, slot in enumerate(self.slots):
+            if slot[1] is not None and slot[1]() is not None:
+                continue
+            if slot[0].size >= n:
+                break
+            grow = i
+        else:
+            slot = [np.empty(n), None]
+            if grow is None:
+                self.slots.append(slot)
+            else:
+                self.slots[grow] = slot
+            self.slots.sort(key=lambda s: s[0].size)
+        arr = np.frombuffer(memoryview(slot[0]), np.float64, n)
+        slot[1] = weakref.ref(arr)
+        return arr
+
+
+def _workspace() -> _Workspace:
+    ws = getattr(_TLS, "workspace", None)
+    if ws is None:
+        ws = _TLS.workspace = _Workspace()
+    return ws
 
 
 class OpCounter:
@@ -847,12 +947,20 @@ def conv(x: Tensor, w: Tensor, b: Tensor, kernel: int, stride: tuple,
                          f"match")
     c_out = w.shape[1]
     hp, wp = h + 2 * pad, width + 2 * pad
-    padded = np.zeros((hp, wp, c))
+    taps = c * kernel * kernel
+    # a conv that a tape records takes the padded map, the columns and its
+    # backward's buffers from this thread's workspace (see _Workspace);
+    # outside a tape nothing outlives the call, and its arrays are fresh
+    take = _workspace().take if _active_tape() is not None else np.empty
+    padded = take(hp * wp * c).reshape(hp, wp, c)
+    padded.fill(0.0)
     padded[pad:pad + h, pad:pad + width] = x.data
     # a strided (oh, ow, c, k, k) view of every patch, copied once
     windows = np.lib.stride_tricks.sliding_window_view(
         padded, (kernel, kernel), axis=(0, 1))[::sh, ::sw]
-    cols = np.ascontiguousarray(windows).reshape(oh * ow, c * kernel * kernel)
+    cols = take(oh * ow * taps).reshape(windows.shape)
+    np.copyto(cols, windows)
+    cols = cols.reshape(oh * ow, taps)
     y = matmul_fwd(cols, w.data)
     y += b.data
     out = Tensor._wrap(y.reshape(oh, ow, c_out), False)
@@ -865,14 +973,19 @@ def conv(x: Tensor, w: Tensor, b: Tensor, kernel: int, stride: tuple,
         g = g.reshape(oh * ow, c_out)
         gx = None
         if wd is not None:
-            gc = (g @ wd.T).reshape(oh, ow, c, kernel, kernel)
+            space = _workspace()
+            gc = space.take(oh * ow * taps).reshape(oh * ow, taps)
+            np.matmul(g, wd.T, out=gc)
+            gc = gc.reshape(oh, ow, c, kernel, kernel)
             # col2im into stride-phase planes: padded element (r, s) lives at
             # planes[r % sh, s % sw, r // sh, s // sw], so each offset's add
             # writes contiguous ow*c runs. A padded element gets its terms in
             # increasing output position, i.e. decreasing (ki, kj): the order
             # a scatter-add over the patch rows would use, so the sums match
             # it bitwise
-            planes = np.zeros((sh, sw, -(-hp // sh), -(-wp // sw), c))
+            shape = (sh, sw, -(-hp // sh), -(-wp // sw), c)
+            planes = space.take(math.prod(shape)).reshape(shape)
+            planes.fill(0.0)
             for ki in reversed(range(kernel)):
                 for kj in reversed(range(kernel)):
                     planes[ki % sh, kj % sw, ki // sh:ki // sh + oh,

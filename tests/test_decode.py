@@ -696,38 +696,40 @@ def decode_digest(**overrides):
 
 
 # captured from the Tensor-based decode step that the array-level step
-# replaced; transcripts, scores and every stats row must reproduce bitwise
+# replaced; transcripts, scores and every stats row must reproduce bitwise.
+# Re-captured at one BLAS thread, which importing retline now pins: 11 of
+# them had been taken at two, where OpenBLAS rounds the CNN differently
 PINNED_DECODE_DIGESTS = {
     ("original", "none"):
-        "6923f2f9cd492ab29df48ec320677f012e5dac9ca2cbdf07d0f23da09d016304",
+        "0a7c1a11d518e3a951ada5f62b118f9936459a1dd7834108326b4e3ce35c86a3",
     ("original", "fixed"):
-        "a5f281fd790e693197ccc1c2321ffd4e2f99fb2cecb3140527123082db99e728",
+        "e51c1a5a57ce7748ae7e21dcdbc634987dfb0bc9dad956ae9d648c8dc055328a",
     ("original", "layerwise"):
-        "a5f281fd790e693197ccc1c2321ffd4e2f99fb2cecb3140527123082db99e728",
+        "e51c1a5a57ce7748ae7e21dcdbc634987dfb0bc9dad956ae9d648c8dc055328a",
     # re-captured once the gate projection was counted: tokens and scores
     # unchanged, every stats row up by the projection's mults and adds
     ("gated", "none"):
-        "ba765593a8cd16032ac2889f8c44bf1385c15a3389e3cd0fadb732aacf320435",
+        "6ae0514d0efcb13b6afeeaef551690ca1fc1cff50aa6864c26184426a374d8ee",
     ("small_gamma", "none"):
         "ca57bd70895e041bf2053fd5e2936b6b139b3cff925b1d9fe23826f8ef724f3e",
     ("small_gamma", "fixed"):
-        "fabf6c823655fc1eeb56dddb3bc69584c4a2505b6de6f2c0a72485509e2f3d93",
+        "2ac7a516a7ab438bd14cccedd2337c06a4fd8a2d8bbcdedccf5f3ad6b9329984",
     ("small_gamma", "layerwise"):
         "b9748af95817cf7c1dd5db0451806e5cd0958230a5599109236d63ca8cfe8548",
     ("headwise", "none"):
-        "348d543f1a8ca521f65ebbdc3741e95299510efc13452af0f75a9472287224f9",
+        "ad69c2b30667c4710006fb02c9cd9ec169c6518027e16245f4bbca7a64fb3510",
     ("headwise", "fixed"):
-        "174bed5c5f4cd556ed3b9c1b0a0080bb396f34e8a83512ee6b48111b72f13b87",
+        "a4df2c63f0a6f1f6e5cb9d1366182463d9d076bfa9e43f44d80069b22b2b8f54",
     ("headwise", "layerwise"):
-        "bdd151649d340e82840792e1061518e28e8ec0209f4943639aa4eaa9b7c4fe21",
+        "3fe4034ee9832f40cd9a6b8fba0063dfffac9687ec4973c88e6fb09fe1e494f0",
     ("layerwise", "none"):
-        "51a335f45c506a59dea5f712a1d653e70e8c1ea441dcffafd1428ce56538a51c",
+        "6e3876f45f585110645e0a15ed53b1d1f0e15218e970fb6dc64c9f949fb2785c",
     ("layerwise", "fixed"):
         "b96485289fe0e4798db6358320406718de72b3b5ab42d8112019cb5a076ab074",
     ("layerwise", "layerwise"):
-        "0105e995aa1902cf478aefe8f08149bba9655b588c7e2032d9138e5a51f70db0",
+        "a62526ce74adeac991e8274db2c09da45f6302afc6f7d7fc6e229ef72b84ca19",
     ("attention", "none"):
-        "c614493cca7a900fcf828e7aa1697e038334950300453daa69c745f6b9592d51",
+        "8364975c71290f68f38ca1d225b3934cb4ee876fb5c038de5b740bbe1d5485e7",
 }
 
 

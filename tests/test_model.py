@@ -137,14 +137,15 @@ def toy_embedder_digests(width: int) -> tuple:
 
 
 # captured with unfold -> matmul -> bias add -> reshape per CNN stage, before
-# the fused tensor.conv replaced them
+# the fused tensor.conv replaced them; re-captured at one BLAS thread, which
+# importing retline now pins (five had been taken at two threads)
 PINNED_TOY_EMBEDDER = {
     100: ("8a5ad681d3f2af8baa09ce993f156021a1322171d3c5b3b7f6c4f7ec677a1d71",
-          "d26ada47ec82a2a9c7a16a63f99b7e122d39bdc5c68539429363b0c8fcfc45e0"),
-    221: ("f2042a2993bf4630312b88c3bf5c840fdcb7f6d4394952b5e6d50701ef9ab986",
-          "0faaaae8b7cfa00d73e99a9006310b174e56fd7ce127b73c79a4af94c26a0e39"),
-    388: ("8ba5cb8d6eca1077a5609fd74e1bbb8ab28cfd8a86491262bd6c3aa1d15c735c",
-          "a40a1d95753e48cb96ad3cee6dfacaa86a7a5091f0463574ce9983250dec8e5b"),
+          "bca787562e488c8472932122b3400e4e3e4a3be5aae30edc1a1f255bb30d0b96"),
+    221: ("7505b5f23ebfeb45deb92d6c8babc93b267823e3de6e3c1339d1065775a16fde",
+          "f4ec12b9c2d74e0503d2390f8f9f0b9064fe14fa0c5248387171b506720cd80a"),
+    388: ("9e9e16760f19d633059d98889da66e2bb645bf09c183b5143a5d6d632b819494",
+          "727501d8b11935a0d8a4e855d49687107230da463488e3e4db6054f9204323cc"),
 }
 
 
@@ -152,6 +153,30 @@ class TestPinnedToyEmbedder:
     @pytest.mark.parametrize("width", sorted(PINNED_TOY_EMBEDDER))
     def test_tokens_and_gradients(self, width):
         assert toy_embedder_digests(width) == PINNED_TOY_EMBEDDER[width]
+
+    def test_same_bytes_at_any_blas_thread_setting(self):
+        # importing retline pins OpenBLAS to one thread, so the digest a
+        # fresh process computes does not follow OPENBLAS_NUM_THREADS
+        import os
+        import subprocess
+        import sys
+
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        script = ("import sys; from test_model import toy_embedder_digests; "
+                  "sys.stdout.write(repr(toy_embedder_digests(221)))")
+        outputs = set()
+        for threads in (None, "1", "2", "4"):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join([src, here])
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+            outputs.add(proc.stdout)
+        assert outputs == {repr(PINNED_TOY_EMBEDDER[221]).encode()}
 
 
 class TestTextEmbedding:

@@ -24,6 +24,7 @@ from retline.tensor import (
     matmul,
     mul,
     mul_const,
+    no_tape,
     permute,
     pow_const,
     rotate_pairs,
@@ -636,6 +637,17 @@ class TestConcurrency:
         assert counts == {t: 8 * (t + 1) for t in range(4)}
 
 
+class TestBlasPin:
+    def test_a_missing_setter_is_reported(self, monkeypatch, capsys):
+        import os
+
+        from retline import tensor as tensor_module
+
+        monkeypatch.setattr(os, "listdir", lambda path: [])
+        tensor_module._pin_blas_threads()
+        assert "scipy_openblas_set_num_threads64_" in capsys.readouterr().err
+
+
 class TestAddVariants:
     def test_row_vector_bias(self):
         x = Tensor(np.zeros((3, 2)), requires_grad=True)
@@ -649,3 +661,179 @@ class TestAddVariants:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
             add(rand((2, 3)), rand((3, 2)))
+
+
+class TestConvWorkspace:
+    """conv's buffers outlive the call that took them: no buffer a live
+    closure or gradient still reads is handed out again, so interleaved
+    passes give the gradients of passes run one after the other."""
+
+    TOY_WIDTHS = [24 * chars + 4 for chars in range(4, 17)]  # train_toy's lines
+
+    @staticmethod
+    def embedder():
+        from retline.model import Model, ModelConfig
+
+        return Model(ModelConfig(vocab_size=8, max_text_len=18, layers=1,
+                                 heads=2, d_model=16, d_ff=32), seed=3)
+
+    @staticmethod
+    def loss(model, width):
+        """The CNN and image projection under a seeded upstream gradient."""
+        rng = np.random.default_rng(width)
+        tokens = model.embed_image(Tensor(rng.random((1, 32, width))))
+        return sum_all(mul(tokens, Tensor(rng.standard_normal(tokens.shape))))
+
+    @staticmethod
+    def grads(model) -> bytes:
+        out = b"".join(p.grad.tobytes() for p in model.params.values()
+                       if p.grad is not None)
+        for p in model.params.values():
+            p.grad = None
+        return out
+
+    def alone(self, model, width) -> bytes:
+        with Tape():
+            backward(self.loss(model, width))
+        return self.grads(model)
+
+    @staticmethod
+    def in_thread(fn):
+        """fn() in a new thread, whose workspace starts empty."""
+        import threading
+
+        result = []
+        thread = threading.Thread(target=lambda: result.append(fn()))
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive() and result
+        return result[0]
+
+    def test_two_tapes_recorded_before_either_backward(self):
+        model = self.embedder()
+        expected = [self.alone(model, w) for w in (100, 388)]
+        first, second = Tape(), Tape()
+        with first:
+            loss_first = self.loss(model, 100)
+        with second:
+            loss_second = self.loss(model, 388)
+        with second:
+            backward(loss_second)
+        got_second = self.grads(model)
+        with first:
+            backward(loss_first)
+        assert [self.grads(model), got_second] == expected
+
+    def test_no_tape_embed_between_forward_and_backward(self):
+        model = self.embedder()
+        image = Tensor(np.random.default_rng(6).random((1, 32, 244)))
+        with no_tape():
+            tokens = model.embed_image(image).data
+        expected = self.alone(model, 172)
+        with Tape():
+            loss = self.loss(model, 172)
+            with no_tape():
+                between = model.embed_image(image).data
+            backward(loss)
+        assert self.grads(model) == expected
+        assert between.tobytes() == tokens.tobytes()
+
+    def test_repeated_backward_after_another_sample(self):
+        model = self.embedder()
+        tape = Tape()
+        with tape:
+            loss = self.loss(model, 316)
+            backward(loss)
+        first = self.grads(model)
+        self.alone(model, 148)
+        with tape:
+            backward(loss)
+        assert self.grads(model) == first
+
+    def test_pool_bounded_by_the_most_ever_live(self, monkeypatch):
+        from retline import tensor as tensor_module
+
+        # track the arrays handed out: how many are alive, and their sizes
+        live, most, taken = set(), [0], []
+        take = tensor_module._Workspace.take
+
+        def tracked(ws, n):
+            arr = take(ws, n)
+            live.add(id(arr))
+            weakref.finalize(arr, live.discard, id(arr))
+            most[0] = max(most[0], len(live))
+            taken.append(n)
+            return arr
+
+        monkeypatch.setattr(tensor_module._Workspace, "take", tracked)
+        model = self.embedder()
+
+        def run(widths):
+            for width in widths:
+                self.alone(model, width)
+                with no_tape():
+                    model.embed_image(Tensor(np.zeros((1, 32, width))))
+            return [slot[0].size for slot in tensor_module._workspace().slots]
+
+        # what one training sample of the widest line takes, buffer by buffer
+        self.in_thread(lambda: self.alone(model, max(self.TOY_WIDTHS)))
+        widest = sum(taken)
+        shuffled = list(self.TOY_WIDTHS)
+        np.random.default_rng(7).shuffle(shuffled)
+        for widths in (self.TOY_WIDTHS, shuffled):
+            most[0] = 0
+            sizes = self.in_thread(lambda: run(widths))
+            assert len(sizes) <= most[0] == 5
+            assert sum(sizes) <= widest
+            # a second pass over the same lines takes no new memory
+            assert self.in_thread(lambda: run(widths + widths)) == sizes
+
+    def test_a_view_keeps_its_buffer_from_reuse(self):
+        from retline import tensor as tensor_module
+
+        def check():
+            ws = tensor_module._workspace()
+            arr = ws.take(1000)
+            view = arr.reshape(10, 100)[2:5, 3:]
+            del arr
+            other = ws.take(1000)
+            assert not np.shares_memory(view, other)
+            del view, other
+            return len(ws.slots)
+
+        assert self.in_thread(check) == 2
+
+    def test_threads_never_share_a_held_buffer(self):
+        import threading
+
+        from retline import tensor as tensor_module
+
+        model = self.embedder()
+        expected = self.alone(model, 364)
+        recorded, done, seen = threading.Event(), threading.Event(), {}
+
+        def holder():
+            with Tape():
+                loss = self.loss(model, 364)
+                seen["holder"] = [s[0] for s in tensor_module._workspace().slots]
+                recorded.set()
+                done.wait(timeout=60)
+                backward(loss)
+
+        def other():
+            recorded.wait(timeout=60)
+            other_model = self.embedder()
+            self.alone(other_model, 364)
+            seen["other"] = [s[0] for s in tensor_module._workspace().slots]
+            done.set()
+
+        threads = [threading.Thread(target=f) for f in (holder, other)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert self.grads(model) == expected
+        assert seen["holder"] and seen["other"]
+        assert not any(np.shares_memory(a, b) for a in seen["holder"]
+                       for b in seen["other"])
