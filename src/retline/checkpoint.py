@@ -20,12 +20,18 @@ _DTYPE = "<f4"
 
 
 def save_checkpoint(model: Model, path_prefix: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path_prefix))
-    os.makedirs(directory, exist_ok=True)
+    """Write `<path_prefix>.json` and `.bin`. A parameter that is not finite
+    in float32 raises ValueError naming it and the checkpoint, and nothing is
+    written, since `load_checkpoint` would refuse the file."""
     tensors, offset = {}, 0
     chunks = []
     for name, t in model.params.items():
-        raw = t.data.astype(_DTYPE).tobytes()
+        with np.errstate(over="ignore"):  # an overflow is an inf, caught below
+            values = t.data.astype(_DTYPE)
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path_prefix}: parameter {name!r} is not "
+                             f"finite in float32")
+        raw = values.tobytes()
         tensors[name] = {
             "shape": list(t.shape),
             "offset": offset,
@@ -36,6 +42,7 @@ def save_checkpoint(model: Model, path_prefix: str) -> None:
     config = asdict(model.config)
     config["cnn_channels"] = list(config["cnn_channels"])
     manifest = {"config": config, "tensors": tensors, "blob_bytes": offset}
+    os.makedirs(os.path.dirname(os.path.abspath(path_prefix)), exist_ok=True)
     with open(path_prefix + ".json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     with open(path_prefix + ".bin", "wb") as fh:

@@ -221,11 +221,8 @@ def _check_lines_fit(model, ds, path) -> None:
 
 
 def _cmd_train(args, config) -> int:
-    echo_config(args.out_dir, config, args.seed)
-    ds = load_manifest(args.data)
-    train_samples, val_samples = _split_dataset(ds, config["val_count"])
-    model = Model(model_config_from(config, ds.vocab.size), seed=args.seed)
-    _check_lines_fit(model, ds, args.data)
+    # the settings check themselves, so a bad one fails before anything is
+    # written
     opt = OptimizerSettings(
         lr_max=config["lr_max"], lr_min=config["lr_min"],
         weight_decay=config["weight_decay"],
@@ -236,6 +233,11 @@ def _cmd_train(args, config) -> int:
         label_smoothing=config["label_smoothing"], seed=args.seed,
         augment_train=bool(config["augment_train"]),
     )
+    echo_config(args.out_dir, config, args.seed)
+    ds = load_manifest(args.data)
+    train_samples, val_samples = _split_dataset(ds, config["val_count"])
+    model = Model(model_config_from(config, ds.vocab.size), seed=args.seed)
+    _check_lines_fit(model, ds, args.data)
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
     rows = train(model, train_samples, val_samples, ds.vocab, opt, settings,
                  metrics_path=metrics_path,

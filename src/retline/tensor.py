@@ -24,12 +24,14 @@ the next `conv`, a residual sum ahead of a layer norm) is freed as soon as
 the forward code drops it, not when the tape ends.
 
 A `conv` that a tape records takes its large arrays (the zero-padded map,
-the im2col columns, and in the backward the column gradient and the col2im
-planes) from a per-thread workspace of grow-only buffers that outlive the
-call (`_Workspace`), so a training loop stops handing them back to the OS
-and faulting them in again every sample. A buffer is handed out again only
-once nothing refers to the array over it: the columns a tape's closure
-holds stay put until the tape is gone. Under `no_tape` nothing outlives the
+the im2col columns, and in the backward the col2im planes and one kernel
+offset's block of the column gradient) from a per-thread workspace of
+grow-only buffers that outlive the call (`_Workspace`), so a training loop
+stops handing them back to the OS and faulting them in again every sample.
+The backward never holds the whole (oh*ow, c*k*k) column gradient: it makes
+one (oh*ow, c) block per offset and adds it into the planes. A buffer is
+handed out again only once nothing refers to the array over it: the columns
+a tape's closure holds stay put until the tape is gone. Under `no_tape` nothing outlives the
 call, and `conv` allocates afresh, as the heap already serves that pattern
 without faults. The values and the order of every sum are unchanged.
 
@@ -933,7 +935,17 @@ def conv(x: Tensor, w: Tensor, b: Tensor, kernel: int, stride: tuple,
     """2-D convolution of a channels-last (h, w, c) map, zero-padded by
     `pad`: the (oh*ow, c*k*k) im2col columns, in (c, ki, kj) order, times the
     (c*k*k, c_out) weights through matmul_fwd, plus the (c_out,) bias.
-    Returns the (oh, ow, c_out) map."""
+    Returns the (oh, ow, c_out) map.
+
+    The backward's weight gradient is the columns' transpose times the
+    upstream gradient g. Its input gradient is col2im of g @ w.T, made one
+    kernel offset at a time: g times that offset's (c_out, c) weights is one
+    (oh*ow, c) block, added at once into the col2im planes. Each element is
+    the same c_out-term dot product as in the full product, so the sums are
+    bitwise. At c == 1 a block would be one column, which numpy hands to
+    gemv, and gemv rounds differently from gemm: there the single
+    (oh*ow, k*k) product stays, no larger than one offset's block at
+    c == k*k."""
     if x.data.ndim != 3:
         raise ValueError("conv expects an (h, w, c) tensor")
     h, width, c = x.shape
@@ -974,9 +986,15 @@ def conv(x: Tensor, w: Tensor, b: Tensor, kernel: int, stride: tuple,
         gx = None
         if wd is not None:
             space = _workspace()
-            gc = space.take(oh * ow * taps).reshape(oh * ow, taps)
-            np.matmul(g, wd.T, out=gc)
-            gc = gc.reshape(oh, ow, c, kernel, kernel)
+            # the column gradient one kernel offset at a time, except at
+            # c == 1 (gemv; see the docstring), where the loop reads the
+            # columns of the one (oh*ow, k*k) product
+            if c == 1:
+                gc = space.take(oh * ow * taps).reshape(oh * ow, taps)
+                np.matmul(g, wd.T, out=gc)
+            else:
+                w_o = wd.reshape(c, kernel, kernel, c_out).transpose(1, 2, 3, 0)
+                block = space.take(oh * ow * c).reshape(oh * ow, c)
             # col2im into stride-phase planes: padded element (r, s) lives at
             # planes[r % sh, s % sw, r // sh, s // sw], so each offset's add
             # writes contiguous ow*c runs. A padded element gets its terms in
@@ -988,8 +1006,12 @@ def conv(x: Tensor, w: Tensor, b: Tensor, kernel: int, stride: tuple,
             planes.fill(0.0)
             for ki in reversed(range(kernel)):
                 for kj in reversed(range(kernel)):
+                    if c == 1:
+                        block = gc[:, ki * kernel + kj]
+                    else:
+                        np.matmul(g, w_o[ki, kj], out=block)
                     planes[ki % sh, kj % sw, ki // sh:ki // sh + oh,
-                           kj // sw:kj // sw + ow] += gc[:, :, :, ki, kj]
+                           kj // sw:kj // sw + ow] += block.reshape(oh, ow, c)
             gpad = planes.transpose(2, 0, 3, 1, 4).reshape(
                 sh * planes.shape[2], sw * planes.shape[3], c)
             gx = gpad[pad:pad + h, pad:pad + width]

@@ -9,6 +9,7 @@ math stays in doubles). A non-finite loss aborts immediately with context.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,22 +30,54 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
+def _check_count(settings, name: str) -> None:
+    value = getattr(settings, name)
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be a whole number of at least 1, "
+                         f"got {value!r}")
+
+
+def _check_real(settings, name: str, below: float = math.inf) -> None:
+    value = getattr(settings, name)
+    if type(value) not in (int, float) or not 0.0 <= value < below:
+        raise ValueError(f"{name} must be a real number in [0, {below}), "
+                         f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerSettings:
+    """Checked when made, so a run fails before any work on the first bad
+    setting, named by its key."""
+
     lr_max: float = 1e-4
     lr_min: float = 1e-6
     weight_decay: float = 1e-3
     restart_epochs: int = 5
 
+    def __post_init__(self):
+        for name in ("lr_max", "lr_min", "weight_decay"):
+            _check_real(self, name)
+        if self.lr_min > self.lr_max:
+            raise ValueError(f"lr_min must not exceed lr_max, got lr_min "
+                             f"{self.lr_min!r} > lr_max {self.lr_max!r}")
+        _check_count(self, "restart_epochs")
+
 
 @dataclass(frozen=True)
 class TrainSettings:
+    """Checked when made, as OptimizerSettings is."""
+
     epochs: int = 20
     batch_size: int = 16
     label_smoothing: float = 0.4
     seed: int = 0
     augment_train: bool = False  # re-augment each sample every epoch
     stop_below_cer: float | None = None  # early-stop once held-out CER drops under
+
+    def __post_init__(self):
+        _check_count(self, "epochs")
+        _check_count(self, "batch_size")
+        _check_real(self, "label_smoothing", below=1.0)
 
 
 class AdamW:
@@ -81,8 +114,6 @@ class AdamW:
 
 def cosine_lr(epoch: int, opt: OptimizerSettings) -> float:
     """Cosine from lr_max down toward lr_min, restarting every restart_epochs."""
-    if opt.restart_epochs < 1:
-        raise ValueError("restart period must be at least one epoch")
     pos = (epoch % opt.restart_epochs) / opt.restart_epochs
     return float(
         opt.lr_min + 0.5 * (opt.lr_max - opt.lr_min) * (1 + np.cos(np.pi * pos))

@@ -276,6 +276,47 @@ class TestSubcommands:
         assert b"PASS" in ra and b"FAIL" not in ra
 
 
+class TestTrainSettingsChecked:
+    """A bad training setting fails `train` before any work: exit 1, one
+    error line that names the key, and nothing written."""
+
+    TINY = ("chars=ab\ncount=4\nmin_len=2\nmax_len=3\nval_count=1\n"
+            "layers=1\nheads=2\nd_model=16\nd_ff=32\ncnn_channels=4,8,8\n"
+            "max_text_len=8\nepochs=1\nbatch_size=4\ndropout_mix=0\n"
+            "dropout_embed=0\n")
+
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("data")
+        cfg = data / "run.cfg"
+        cfg.write_text(self.TINY)
+        assert main(["--out-dir", str(data), "--config", str(cfg),
+                     "gen-data"]) == 0
+        return str(data / "manifest.tsv")
+
+    @pytest.mark.parametrize("setting, key", [
+        ("epochs=0", "epochs"),
+        ("epochs=-2", "epochs"),
+        ("batch_size=0", "batch_size"),
+        ("lr_max=nan", "lr_max"),
+        ("weight_decay=inf", "weight_decay"),
+        ("lr_min=0.01\nlr_max=0.001", "lr_min"),
+        ("restart_epochs=0", "restart_epochs"),
+        ("label_smoothing=1", "label_smoothing"),
+    ])
+    def test_bad_setting_exits_1_and_writes_nothing(self, tmp_path, capsys,
+                                                    manifest, setting, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.TINY + setting + "\n")  # later lines win
+        out = tmp_path / "out"
+        code = main(["--out-dir", str(out), "--config", str(cfg), "train",
+                     "--data", manifest])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestDecodeScoring:
     def checkpoint_and_data(self, tmp_path):
         from retline.checkpoint import save_checkpoint

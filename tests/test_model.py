@@ -609,6 +609,16 @@ class TestCheckpoint:
         after = loaded.forward(img, [SOS_ID, 3, 4]).data
         np.testing.assert_array_equal(before, after)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+    def test_non_finite_parameter_refused(self, tmp_path, value):
+        model = Model(tiny_config(), seed=5)
+        model.params["head_b"].data[1] = value  # 1e39 overflows float32
+        prefix = str(tmp_path / "sub" / "m")
+        with pytest.raises(ValueError) as err:
+            save_checkpoint(model, prefix)
+        assert prefix in str(err.value) and "'head_b'" in str(err.value)
+        assert not (tmp_path / "sub").exists()
+
     def test_corrupt_shape_rejected(self, tmp_path):
         import json
 

@@ -536,10 +536,12 @@ class TestConvMatchesGather:
     its input gradient the `np.add.at` scatter of `g @ w.T`, bitwise, as do
     the weight and bias gradients. The reference works on (c, h, w); `conv`
     takes the same values channels-last, and its gradient is transposed
-    back."""
+    back. At c >= 2 the input gradient is made one kernel offset at a time
+    (c = 16 is the input of the model's last stage, `cnn2`), at c = 1 from
+    one product."""
 
-    @pytest.mark.parametrize("c", [1, 3, 8])
-    @pytest.mark.parametrize("c_out", [1, 4, 16])
+    @pytest.mark.parametrize("c", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("c_out", [1, 4, 8, 16])
     @pytest.mark.parametrize("kernel", [1, 3, 5])
     @pytest.mark.parametrize("stride", [(1, 1), (2, 1), (2, 2), (3, 2)])
     @pytest.mark.parametrize("pad", [0, 2])
@@ -678,6 +680,20 @@ class TestConvWorkspace:
                                  heads=2, d_model=16, d_ff=32), seed=3)
 
     @staticmethod
+    def columns(model, width) -> list:
+        """Each CNN stage's im2col column count, (oh*ow) * (c*k*k), for a
+        32-pixel line `width` pixels wide."""
+        from retline.model import _CNN_KERNEL, _CNN_PAD, _CNN_STRIDES
+
+        (h, w), c, out = (32, width), 1, []
+        for (sh, sw), c_out in zip(_CNN_STRIDES, model.config.cnn_channels):
+            h = (h + 2 * _CNN_PAD - _CNN_KERNEL) // sh + 1
+            w = (w + 2 * _CNN_PAD - _CNN_KERNEL) // sw + 1
+            out.append(h * w * c * _CNN_KERNEL ** 2)
+            c = c_out
+        return out
+
+    @staticmethod
     def loss(model, width):
         """The CNN and image projection under a seeded upstream gradient."""
         rng = np.random.default_rng(width)
@@ -778,6 +794,7 @@ class TestConvWorkspace:
         # what one training sample of the widest line takes, buffer by buffer
         self.in_thread(lambda: self.alone(model, max(self.TOY_WIDTHS)))
         widest = sum(taken)
+        columns = self.columns(model, max(self.TOY_WIDTHS))
         shuffled = list(self.TOY_WIDTHS)
         np.random.default_rng(7).shuffle(shuffled)
         for widths in (self.TOY_WIDTHS, shuffled):
@@ -785,6 +802,12 @@ class TestConvWorkspace:
             sizes = self.in_thread(lambda: run(widths))
             assert len(sizes) <= most[0] == 5
             assert sum(sizes) <= widest
+            # the backward's column gradient is made one kernel offset at a
+            # time, so no buffer outgrows the widest stage's columns, and the
+            # pool holds less than the widest line's columns plus one full
+            # (oh*ow, c*k*k) column gradient (a pool that kept one held more)
+            assert max(sizes) <= max(columns)
+            assert sum(sizes) < sum(columns) + max(columns)
             # a second pass over the same lines takes no new memory
             assert self.in_thread(lambda: run(widths + widths)) == sizes
 

@@ -49,6 +49,40 @@ class TestSchedule:
             cosine_lr(0, OptimizerSettings(restart_epochs=0))
 
 
+class TestSettingsChecked:
+    """A bad setting is refused when the settings are made, naming its key,
+    before any training work."""
+
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"lr_max": float("nan")}, "lr_max"),
+        ({"lr_max": float("inf")}, "lr_max"),
+        ({"lr_max": 1e-5, "lr_min": -1e-6}, "lr_min"),
+        ({"weight_decay": float("inf")}, "weight_decay"),
+        ({"weight_decay": float("nan")}, "weight_decay"),
+        ({"lr_max": 1e-3, "lr_min": 1e-2}, "lr_min"),
+        ({"restart_epochs": 0}, "restart_epochs"),
+    ])
+    def test_bad_optimizer_setting(self, kwargs, key):
+        with pytest.raises(ValueError, match=f"^{key} "):
+            OptimizerSettings(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"epochs": 0}, "epochs"),
+        ({"epochs": -3}, "epochs"),
+        ({"epochs": 2.5}, "epochs"),
+        ({"batch_size": 0}, "batch_size"),
+        ({"label_smoothing": 1.0}, "label_smoothing"),
+        ({"label_smoothing": float("nan")}, "label_smoothing"),
+    ])
+    def test_bad_train_setting(self, kwargs, key):
+        with pytest.raises(ValueError, match=f"^{key} "):
+            TrainSettings(**kwargs)
+
+    def test_equal_rates_and_zero_decay_accepted(self):
+        opt = OptimizerSettings(lr_max=0.0, lr_min=0.0, weight_decay=0.0)
+        assert cosine_lr(3, opt) == 0.0
+
+
 class TestOptimizer:
     def test_zero_lr_leaves_parameters_bitwise(self):
         model, train_s, val_s, vocab = tiny_setup()
